@@ -28,27 +28,28 @@
 //!                      # diff the current run against a saved report;
 //!                      # exits 1 if p99/bandwidth drift beyond PCT
 //!                      # (default 25), 2 if a report cannot be parsed
-//! repro --ranks N [--shards S] [--no-srq]
+//! repro --ranks N [--no-srq]
 //!                      # audited neighbor-halo fault soak at N ranks (one
-//!                      # per node) on S DES shards; SRQ receive pooling is
-//!                      # on unless --no-srq. Gates: auditor OK, 0 corrupt
-//!                      # payloads, established pairs O(ranks), per-rank
-//!                      # buffer memory under a flat ceiling. Exits 1 on
-//!                      # any violation.
-//! repro --scale-curve PATH [--shards S] [--no-srq]
+//!                      # per node); SRQ receive pooling is on unless
+//!                      # --no-srq. Gates: auditor OK, 0 corrupt payloads,
+//!                      # established pairs O(ranks), per-rank buffer
+//!                      # memory under a flat ceiling. Exits 1 on any
+//!                      # violation.
+//! repro --scale-curve PATH [--no-srq]
 //!                      # sweep ranks 8/16/32/64, write the memory-per-rank
 //!                      # curve to PATH as CSV, and gate sub-quadratic
 //!                      # growth of pairs and buffer bytes
-//! repro --kill SPEC [--ranks N] [--shards S] [--no-srq]
+//! repro --kill SPEC [--ranks N] [--no-srq]
 //!                      # rank-death soak at N ranks (default 64): SPEC is
 //!                      # a comma list of <after_ops>:<rank> fail-stop
-//!                      # kills, e.g. "10:7,25:31,40:12,55:50". Survivors
+//!                      # kills, e.g. "10:7,25:31,40:12,55:50" (N >= 8,
+//!                      # at least 4 survivors). Survivors
 //!                      # must detect, revoke, shrink to the same world and
 //!                      # complete a verified exchange on it; exits 1 on
 //!                      # any violation. --metrics-json / --compare-metrics
 //!                      # apply to this run's report (with its `failures`
 //!                      # section) instead of the 4-rank profile
-//! repro --chaos [--seed N] [--ranks N] [--shards S] [--no-srq]
+//! repro --chaos [--seed N] [--ranks N] [--no-srq]
 //!                      # deterministic chaos fuzzing: sample a kill
 //!                      # schedule from the seed, soak it twice (replay
 //!                      # must be bit-for-bit identical), gate the outcome,
@@ -66,23 +67,49 @@
 //!                      # message sent by RANK with pair sequence SEQ
 //!                      # (same run selection as --trace-out)
 //! ```
+//!
+//! Every soak and report is one [`bench::Scenario`] executed by
+//! [`bench::run`] and gated by [`bench::Outcome::healthy`]. A malformed
+//! spec, an out-of-range scenario or an unknown `--flag` exits 2.
 
 use bench::{
     ablation_eager_threshold, ablation_host_staged_bcast, ablation_mr_cache,
     ablation_offload_threshold, ablation_rndv_skew, fig10, fig11_fig12, fig5, fig7_fig8, fig9,
-    fig9_small_rtt, print_series, write_series_csv, write_stencil_csv,
+    fig9_small_rtt, print_series, write_series_csv, write_stencil_csv, Outcome, Scenario,
 };
 use fabric::ClusterConfig;
 
-fn minor_faults() -> u64 {
-    std::fs::read_to_string("/proc/self/stat")
-        .ok()
-        .and_then(|s| s.split(' ').nth(9).and_then(|v| v.parse().ok()))
-        .unwrap_or(0)
-}
+/// Flags that take a value (the next argument).
+const VALUE_FLAGS: &[&str] = &[
+    "--csv",
+    "--faults",
+    "--daemon-faults",
+    "--metrics-json",
+    "--compare-metrics",
+    "--tolerance",
+    "--ranks",
+    "--scale-curve",
+    "--kill",
+    "--seed",
+    "--trace-out",
+    "--explain-msg",
+];
+
+/// Flags that stand alone.
+const SWITCHES: &[&str] = &[
+    "--quick", "--stats", "--trace", "--srq", "--no-srq", "--chaos",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(a) = args
+        .iter()
+        .filter(|a| a.starts_with("--"))
+        .find(|a| !VALUE_FLAGS.contains(&a.as_str()) && !SWITCHES.contains(&a.as_str()))
+    {
+        eprintln!("unknown flag {a}");
+        std::process::exit(2);
+    }
     let quick = args.iter().any(|a| a == "--quick");
     // `--csv DIR` additionally writes figN.csv data files into DIR.
     let csv_dir: Option<std::path::PathBuf> = args
@@ -138,9 +165,8 @@ fn main() {
                 }
             })
     };
-    // `--ranks N [--shards S] [--no-srq]` runs the audited scale soak.
+    // `--ranks N [--no-srq]` runs the audited scale soak.
     let scale_ranks = parse_count("--ranks");
-    let scale_shards = parse_count("--shards").unwrap_or(1);
     let scale_srq = !args.iter().any(|a| a == "--no-srq");
     // `--srq` moves the 4-rank `--faults` soak onto the SRQ pool.
     let fault_srq = args.iter().any(|a| a == "--srq");
@@ -200,20 +226,7 @@ fn main() {
                 skip_next = false;
                 return false;
             }
-            if *a == "--csv"
-                || *a == "--faults"
-                || *a == "--daemon-faults"
-                || *a == "--metrics-json"
-                || *a == "--compare-metrics"
-                || *a == "--tolerance"
-                || *a == "--ranks"
-                || *a == "--shards"
-                || *a == "--scale-curve"
-                || *a == "--kill"
-                || *a == "--seed"
-                || *a == "--trace-out"
-                || *a == "--explain-msg"
-            {
+            if VALUE_FLAGS.contains(&a.as_str()) {
                 skip_next = true;
             }
             !a.starts_with("--")
@@ -241,29 +254,26 @@ fn main() {
             && explain_msg.is_none());
     let want = |k: &str| all || wanted.contains(&k);
 
+    let reports = Reports {
+        json: metrics_json,
+        baseline: compare_metrics,
+        tolerance,
+        trace_out,
+        explain: explain_msg,
+    };
     if let Some(spec) = kill_spec {
-        kill_soak(
-            spec,
-            scale_ranks.unwrap_or(64),
-            scale_shards,
-            scale_srq,
-            metrics_json,
-            compare_metrics,
-            tolerance,
-            trace_out,
-            explain_msg,
-        );
+        kill_soak(spec, scale_ranks.unwrap_or(64), scale_srq, &reports);
     } else if let Some(ranks) = scale_ranks {
         // With `--chaos`, `--ranks` parameterizes the fuzzer instead.
         if !chaos {
-            scale_soak(ranks, scale_shards, scale_srq);
+            scale_soak(ranks, scale_srq);
         }
     }
     if chaos {
-        chaos_fuzz(seed, scale_ranks.unwrap_or(64), scale_shards, scale_srq);
+        chaos_fuzz(seed, scale_ranks.unwrap_or(64), scale_srq);
     }
     if let Some(path) = scale_curve {
-        scale_curve_sweep(path, scale_shards, scale_srq);
+        scale_curve_sweep(path, scale_srq);
     }
     if let Some(spec) = fault_spec {
         fault_soak(spec, fault_srq);
@@ -271,27 +281,11 @@ fn main() {
     if let Some(spec) = daemon_fault_spec {
         daemon_fault_soak(spec);
     }
-    // `--trace-out` / `--explain-msg` without `--kill` attach to the same
-    // traced 4-rank run `--stats` and `--trace` report on.
-    if show_stats
-        || show_trace
-        || (kill_spec.is_none() && (trace_out.is_some() || explain_msg.is_some()))
+    // Without `--kill`, the reports attach to the traced 4-rank profile.
+    if kill_spec.is_none()
+        && (show_stats || show_trace || reports.trace_wanted() || reports.metrics_wanted())
     {
-        observability(
-            show_stats,
-            show_trace,
-            kill_spec.is_none().then_some(trace_out).flatten(),
-            if kill_spec.is_none() {
-                explain_msg
-            } else {
-                None
-            },
-        );
-    }
-    // The kill soak consumes `--metrics-json` / `--compare-metrics` itself
-    // (its report carries the `failures` section).
-    if (metrics_json.is_some() || compare_metrics.is_some()) && kill_spec.is_none() {
-        metrics_report(metrics_json, compare_metrics, tolerance);
+        profile(show_stats, show_trace, &reports);
     }
 
     let ccfg = ClusterConfig::paper();
@@ -471,92 +465,176 @@ fn main() {
 /// never reach, but nothing fatal — every operation must still succeed.
 const SCALE_FAULT_SPEC: &str = "7:transient,23:retry,61:transient";
 
-/// `--ranks N [--shards S] [--no-srq]`: the audited neighbor-halo fault
-/// soak at scale. Prints the scale counters and exits 1 if the auditor
-/// objects, a payload was corrupted, an operation failed, connections grew
-/// past the touched O(ranks) neighbor set, or per-rank buffer memory broke
-/// its flat ceiling.
-fn scale_soak(ranks: usize, shards: usize, srq: bool) {
-    // 4 ring neighbors per rank, doubled for slack (boot-order effects).
-    let max_pairs = ranks as u64 * 8;
-    // One shared receive pool + a handful of per-neighbor stage rings;
-    // independent of the rank count.
-    let max_bytes_per_rank: u64 = 16 << 20;
+/// The per-run exports a soak or the profile feeds: `--metrics-json`,
+/// `--compare-metrics [--tolerance]`, `--trace-out` and `--explain-msg`.
+struct Reports<'a> {
+    json: Option<&'a String>,
+    baseline: Option<&'a String>,
+    tolerance: f64,
+    trace_out: Option<&'a String>,
+    explain: Option<(usize, u64)>,
+}
+
+impl Reports<'_> {
+    fn metrics_wanted(&self) -> bool {
+        self.json.is_some() || self.baseline.is_some()
+    }
+
+    fn trace_wanted(&self) -> bool {
+        self.trace_out.is_some() || self.explain.is_some()
+    }
+
+    /// `--trace-out` / `--explain-msg`: export the run's trace as
+    /// Perfetto JSON and print one message's cross-rank causal timeline.
+    fn trace(&self, events: &[dcfa_mpi::TraceEvent]) {
+        if let Some(path) = self.trace_out {
+            write_trace_json(path, events);
+        }
+        if let Some((rank, seq)) = self.explain {
+            print!("{}", bench::stitch::explain_msg(events, rank, seq));
+        }
+    }
+
+    /// `--metrics-json` / `--compare-metrics`: serialize the run's
+    /// versioned JSON report, write it, and gate it against a saved
+    /// baseline. `note` trails the written-to line. Returns false when a
+    /// metric drifted beyond tolerance; exits 2 when a report cannot be
+    /// written, read or parsed.
+    fn metrics(&self, out: &Outcome, note: &str) -> bool {
+        let report = bench::metrics_report_json(out);
+        if let Some(path) = self.json {
+            if let Err(e) = std::fs::write(path, &report) {
+                eprintln!("cannot write {path}: {e}");
+                std::process::exit(2);
+            }
+            println!("metrics report written to {path}{note}");
+        }
+        let Some(path) = self.baseline else {
+            return true;
+        };
+        let baseline = match std::fs::read_to_string(path) {
+            Ok(s) => s,
+            Err(e) => {
+                eprintln!("cannot read baseline {path}: {e}");
+                std::process::exit(2);
+            }
+        };
+        let tolerance = self.tolerance;
+        match bench::compare_reports_full(&baseline, &report, tolerance) {
+            Err(e) => {
+                eprintln!("compare failed: {e}");
+                std::process::exit(2);
+            }
+            Ok((violations, warnings)) => {
+                for w in &warnings {
+                    println!("warning: {w}");
+                }
+                if violations.is_empty() {
+                    println!("metrics within {tolerance}% of baseline {path}");
+                    return true;
+                }
+                println!(
+                    "{} metric(s) drifted beyond {tolerance}% of baseline {path}:",
+                    violations.len()
+                );
+                for v in &violations {
+                    println!("  {v}");
+                }
+                false
+            }
+        }
+    }
+}
+
+/// Print the auditor verdict; on violations also the trace tail, for
+/// diagnosis.
+fn print_audit(out: &Outcome) {
+    match &out.audit {
+        Ok(report) => println!("auditor: OK — {report:?}"),
+        Err(errors) => {
+            println!("auditor: {} invariant violations", errors.len());
+            const TAIL: usize = 60;
+            let skip = out.events.len().saturating_sub(TAIL);
+            println!(
+                "trace tail ({} of {} events):",
+                out.events.len() - skip,
+                out.events.len()
+            );
+            for ev in &out.events[skip..] {
+                println!("  {ev:?}");
+            }
+        }
+    }
+}
+
+/// Print every gate violation of the run; returns whether it is healthy.
+fn gate(out: &Outcome) -> bool {
+    match out.healthy() {
+        Ok(()) => true,
+        Err(violations) => {
+            for v in &violations {
+                println!("FAIL: {v}");
+            }
+            false
+        }
+    }
+}
+
+/// Build a scenario, or exit 2 with the reason it is out of range.
+fn scenario(what: &str, sc: Result<Scenario, String>) -> Scenario {
+    sc.unwrap_or_else(|e| {
+        eprintln!("bad {what}: {e}");
+        std::process::exit(2);
+    })
+}
+
+fn on_off(b: bool) -> &'static str {
+    if b {
+        "on"
+    } else {
+        "off"
+    }
+}
+
+/// `--ranks N [--no-srq]`: the audited neighbor-halo fault soak at scale.
+/// Prints the scale counters and exits 1 on any gate violation: auditor
+/// objection, corrupted payload, failed operation, connections past the
+/// touched O(ranks) neighbor set, or per-rank buffer memory past its flat
+/// ceiling.
+fn scale_soak(ranks: usize, srq: bool) {
     let faults = fabric::parse_fault_spec(SCALE_FAULT_SPEC).expect("builtin fault spec");
     println!(
-        "== scale soak: {ranks} ranks on {} DES shard(s), SRQ {}, {} transient fault plan(s) ==",
-        shards.max(1),
-        if srq { "on" } else { "off" },
+        "== scale soak: {ranks} ranks, SRQ {}, {} transient fault plan(s) ==",
+        on_off(srq),
         faults.len()
     );
-    let run = bench::scale_run(ranks, shards, srq, &faults);
+    let out = bench::run(&scenario(
+        "--ranks",
+        Scenario::halo(ranks, srq, faults, Vec::new()),
+    ));
     println!(
         "virtual time {:.1} ms | wall {:.1} ms | {} events",
-        run.elapsed_ns as f64 / 1e6,
-        run.wall_ns as f64 / 1e6,
-        run.sim_events
+        out.elapsed_ns as f64 / 1e6,
+        out.wall_ns as f64 / 1e6,
+        out.sim_events
     );
     println!(
         "operations: {} completed, {} failed, {} corrupted payloads",
-        run.ops_ok, run.ops_failed, run.corrupt
+        out.tally.ok, out.tally.failed, out.tally.corrupt
     );
     println!(
         "pairs established: {} total, {} max per rank (full mesh would be {})",
-        run.established_pairs(),
-        run.max_pairs_per_rank(),
+        out.established_pairs(),
+        out.max_pairs_per_rank(),
         ranks as u64 * (ranks as u64 - 1)
     );
     println!(
         "comm buffer bytes per rank: {} max | srq pool high-water: {} slot(s)",
-        run.bytes_per_rank(),
-        run.srq_highwater()
+        out.bytes_per_rank(),
+        out.srq_highwater()
     );
-    let mut bad = false;
-    match &run.audit {
-        Ok(report) => println!("auditor: OK — {report:?}"),
-        Err(errors) => {
-            println!("auditor: {} invariant violations", errors.len());
-            for e in errors.iter().take(20) {
-                println!("  {e}");
-            }
-            bad = true;
-        }
-    }
-    if run.dropped > 0 {
-        println!(
-            "FAIL: trace ring dropped {} events (audit unbound)",
-            run.dropped
-        );
-        bad = true;
-    }
-    if run.corrupt > 0 || run.ops_failed > 0 {
-        println!(
-            "FAIL: {} corrupt payloads, {} failed operations under transient faults",
-            run.corrupt, run.ops_failed
-        );
-        bad = true;
-    }
-    if run.established_pairs() > max_pairs {
-        println!(
-            "FAIL: {} pairs established, gate is {} (O(ranks) neighbor set)",
-            run.established_pairs(),
-            max_pairs
-        );
-        bad = true;
-    }
-    if run.bytes_per_rank() > max_bytes_per_rank {
-        println!(
-            "FAIL: {} comm buffer bytes per rank, ceiling is {}",
-            run.bytes_per_rank(),
-            max_bytes_per_rank
-        );
-        bad = true;
-    }
-    if srq && run.srq_highwater() == 0 {
-        println!("FAIL: SRQ mode on but the pool was never used");
-        bad = true;
-    }
-    if bad {
+    print_audit(&out);
+    if !gate(&out) {
         std::process::exit(1);
     }
     println!();
@@ -566,34 +644,33 @@ fn scale_soak(ranks: usize, shards: usize, srq: bool) {
 /// per-rank memory and connection curve as CSV, and gate sub-quadratic
 /// growth: connections scale linearly with ranks and per-rank buffer bytes
 /// stay flat. Exits 1 on a violation (including any per-run gate).
-fn scale_curve_sweep(path: &str, shards: usize, srq: bool) {
+fn scale_curve_sweep(path: &str, srq: bool) {
     let faults = fabric::parse_fault_spec(SCALE_FAULT_SPEC).expect("builtin fault spec");
     let sweep = [8usize, 16, 32, 64];
     let mut rows = Vec::new();
-    println!(
-        "== scale curve: ranks {sweep:?} on {} DES shard(s), SRQ {} ==",
-        shards.max(1),
-        if srq { "on" } else { "off" }
-    );
+    println!("== scale curve: ranks {sweep:?}, SRQ {} ==", on_off(srq));
     for &ranks in &sweep {
-        let run = bench::scale_run(ranks, shards, srq, &faults);
-        let audit_ok = run.audit.is_ok() && run.dropped == 0;
+        let out = bench::run(&scenario(
+            "--scale-curve",
+            Scenario::halo(ranks, srq, faults.clone(), Vec::new()),
+        ));
+        let audit_ok = out.audit.is_ok() && out.dropped == 0;
         println!(
             "ranks {ranks:>4}: {:>6} pairs, {:>9} B/rank, srq high-water {:>3}, audit {}",
-            run.established_pairs(),
-            run.bytes_per_rank(),
-            run.srq_highwater(),
+            out.established_pairs(),
+            out.bytes_per_rank(),
+            out.srq_highwater(),
             if audit_ok { "OK" } else { "FAIL" }
         );
-        rows.push((run, audit_ok));
+        rows.push(out);
     }
     let csv: String = std::iter::once(
         "ranks,established_pairs,max_pairs_per_rank,bytes_per_rank,srq_highwater\n".to_string(),
     )
-    .chain(rows.iter().map(|(r, _)| {
+    .chain(rows.iter().map(|r| {
         format!(
             "{},{},{},{},{}\n",
-            r.ranks,
+            r.ranks(),
             r.established_pairs(),
             r.max_pairs_per_rank(),
             r.bytes_per_rank(),
@@ -607,18 +684,19 @@ fn scale_curve_sweep(path: &str, shards: usize, srq: bool) {
     }
     println!("memory-per-rank curve written to {path}");
     let mut bad = false;
-    for (r, audit_ok) in &rows {
-        if !audit_ok || r.corrupt > 0 || r.ops_failed > 0 {
+    for r in &rows {
+        if let Err(violations) = r.healthy() {
             println!(
-                "FAIL: ranks {} run unhealthy (audit ok: {audit_ok}, corrupt {}, failed {})",
-                r.ranks, r.corrupt, r.ops_failed
+                "FAIL: ranks {} run unhealthy: {}",
+                r.ranks(),
+                violations.join("; ")
             );
             bad = true;
         }
     }
-    let (first, _) = &rows[0];
-    let (last, _) = &rows[rows.len() - 1];
-    let rank_growth = (last.ranks / first.ranks) as u64;
+    let first = &rows[0];
+    let last = &rows[rows.len() - 1];
+    let rank_growth = (last.ranks() / first.ranks()) as u64;
     // Connections: linear in ranks (x1.5 slack). Quadratic growth would
     // multiply by rank_growth^2.
     if last.established_pairs() > first.established_pairs() * rank_growth * 3 / 2 {
@@ -648,51 +726,33 @@ fn scale_curve_sweep(path: &str, shards: usize, srq: bool) {
 }
 
 /// `--kill SPEC [--ranks N]`: the rank-death soak. Parses the kill
-/// schedule, runs the ULFM-tolerant halo workload with the failure
-/// subsystem armed, prints the recovery counters and gates the outcome
-/// via [`bench::KillSoakRun::healthy`]. `--metrics-json` /
-/// `--compare-metrics` serialize and gate this run's report (including
-/// its `failures` and `critical_path` sections); `--trace-out` /
-/// `--explain-msg` export and explain this run's lifecycle trace. Exits
-/// 1 on any gate violation, 2 on a malformed schedule.
-#[allow(clippy::too_many_arguments)]
-fn kill_soak(
-    spec: &str,
-    ranks: usize,
-    shards: usize,
-    srq: bool,
-    json_path: Option<&String>,
-    baseline_path: Option<&String>,
-    tolerance: f64,
-    trace_out: Option<&String>,
-    explain: Option<(usize, u64)>,
-) {
-    let kills = match parse_kill_spec(spec, ranks) {
-        Ok(k) => k,
-        Err(e) => {
-            eprintln!("bad --kill spec: {e}");
-            std::process::exit(2);
-        }
-    };
+/// schedule, runs the ULFM-tolerant halo with the failure subsystem
+/// armed, prints the recovery counters and gates the outcome. The
+/// reports (`--metrics-json`, `--compare-metrics`, `--trace-out`,
+/// `--explain-msg`) cover this run, its `failures` and `critical_path`
+/// sections included. Exits 1 on any gate violation, 2 on a malformed or
+/// out-of-range schedule.
+fn kill_soak(spec: &str, ranks: usize, srq: bool, reports: &Reports) {
+    let kills = parse_kill_spec(spec).and_then(|k| Scenario::halo(ranks, srq, Vec::new(), k));
+    let sc = scenario("--kill spec", kills);
     println!(
-        "== rank-death soak: {ranks} ranks on {} DES shard(s), SRQ {}, killing {} ==",
-        shards.max(1),
-        if srq { "on" } else { "off" },
-        bench::kill_spec_string(&kills),
+        "== rank-death soak: {ranks} ranks, SRQ {}, killing {} ==",
+        on_off(srq),
+        bench::kill_spec_string(sc.kills()),
     );
-    let run = bench::kill_soak_run(ranks, shards, srq, &kills);
+    let out = bench::run(&sc);
     println!(
         "virtual time {:.1} ms | wall {:.1} ms | {} events | fingerprint {:#018x}",
-        run.obs.elapsed_ns as f64 / 1e6,
-        run.obs.wall_ns as f64 / 1e6,
-        run.obs.sim_events,
-        run.fingerprint()
+        out.elapsed_ns as f64 / 1e6,
+        out.wall_ns as f64 / 1e6,
+        out.sim_events,
+        out.fingerprint()
     );
     println!(
         "operations: {} completed, {} PeerFailed, {} Revoked, {} corrupted payloads",
-        run.ops_ok, run.ops_peer_failed, run.ops_revoked, run.corrupt
+        out.tally.ok, out.tally.peer_failed, out.tally.revoked, out.tally.corrupt
     );
-    if let Some(f) = &run.obs.failures {
+    if let Some(f) = &out.failures {
         println!(
             "failure plane: {} kills, {} detected (p99 latency {:.1} us), \
              {} revocation epochs, {} shrink agreement(s), {} dead-peer objects reclaimed",
@@ -706,125 +766,45 @@ fn kill_soak(
     }
     println!(
         "survivors: {} of {ranks}, shrunk world size {}",
-        run.ranks - run.killed.len(),
-        run.outs
+        out.survivors(),
+        out.outs
             .iter()
             .flatten()
             .map(|o| o.sub_size)
             .next()
             .unwrap_or(0)
     );
-    match &run.obs.audit {
-        Ok(report) => println!("auditor: OK — {report:?}"),
-        Err(errors) => {
-            println!("auditor: {} invariant violations", errors.len());
-            for e in errors.iter().take(20) {
-                println!("  {e}");
-            }
-        }
+    print_audit(&out);
+    let mut ok = gate(&out);
+    reports.trace(&out.events);
+    if reports.metrics_wanted() {
+        ok &= reports.metrics(&out, "");
     }
-    let mut bad = false;
-    if let Err(violations) = run.healthy() {
-        for v in &violations {
-            println!("FAIL: {v}");
-        }
-        bad = true;
-    }
-    if let Some(path) = trace_out {
-        write_trace_json(path, &run.obs.events);
-    }
-    if let Some((rank, seq)) = explain {
-        print!("{}", bench::stitch::explain_msg(&run.obs.events, rank, seq));
-    }
-    if json_path.is_some() || baseline_path.is_some() {
-        let report = bench::metrics_report_json(&run.obs);
-        if let Some(path) = json_path {
-            if let Err(e) = std::fs::write(path, &report) {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-            println!("metrics report written to {path}");
-        }
-        if let Some(path) = baseline_path {
-            let baseline = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("cannot read baseline {path}: {e}");
-                    std::process::exit(2);
-                }
-            };
-            match bench::compare_reports_full(&baseline, &report, tolerance) {
-                Err(e) => {
-                    eprintln!("compare failed: {e}");
-                    std::process::exit(2);
-                }
-                Ok((violations, warnings)) => {
-                    for w in &warnings {
-                        println!("warning: {w}");
-                    }
-                    if violations.is_empty() {
-                        println!("metrics within {tolerance}% of baseline {path}");
-                    } else {
-                        println!(
-                            "{} metric(s) drifted beyond {tolerance}% of baseline {path}:",
-                            violations.len()
-                        );
-                        for v in &violations {
-                            println!("  {v}");
-                        }
-                        bad = true;
-                    }
-                }
-            }
-        }
-    }
-    if bad {
+    if !ok {
         std::process::exit(1);
     }
     println!();
 }
 
 /// Parse a `--kill` schedule: a comma list of `<after_ops>:<rank>`.
-fn parse_kill_spec(spec: &str, ranks: usize) -> Result<Vec<dcfa_mpi::KillSpec>, String> {
-    let mut kills = Vec::new();
-    for part in spec.split(',') {
-        let (after, rank) = part
-            .split_once(':')
-            .ok_or_else(|| format!("{part:?}: expected <after_ops>:<rank>"))?;
-        let after_ops: u64 = after
-            .trim()
-            .parse()
-            .map_err(|_| format!("{part:?}: bad operation count {after:?}"))?;
-        let rank: usize = rank
-            .trim()
-            .parse()
-            .map_err(|_| format!("{part:?}: bad rank {rank:?}"))?;
-        if !(1..=bench::KILL_SOAK_MAX_AFTER_OPS).contains(&after_ops) {
-            return Err(format!(
-                "{part:?}: after_ops must be in 1..={} (the soak's phase-1 window)",
-                bench::KILL_SOAK_MAX_AFTER_OPS
-            ));
-        }
-        if rank >= ranks {
-            return Err(format!(
-                "{part:?}: rank {rank} out of range for {ranks} ranks"
-            ));
-        }
-        if kills.iter().any(|k: &dcfa_mpi::KillSpec| k.rank == rank) {
-            return Err(format!("{part:?}: rank {rank} killed twice"));
-        }
-        kills.push(dcfa_mpi::KillSpec { rank, after_ops });
-    }
-    if kills.is_empty() {
-        return Err("empty schedule".into());
-    }
-    if kills.len() > ranks.saturating_sub(4) {
-        return Err(format!(
-            "{} kills leave fewer than 4 survivors of {ranks} ranks",
-            kills.len()
-        ));
-    }
-    Ok(kills)
+/// Range checks against the rank count belong to [`Scenario::halo`].
+fn parse_kill_spec(spec: &str) -> Result<Vec<dcfa_mpi::KillSpec>, String> {
+    spec.split(',')
+        .map(|part| {
+            let (after, rank) = part
+                .split_once(':')
+                .ok_or_else(|| format!("{part:?}: expected <after_ops>:<rank>"))?;
+            let after_ops: u64 = after
+                .trim()
+                .parse()
+                .map_err(|_| format!("{part:?}: bad operation count {after:?}"))?;
+            let rank: usize = rank
+                .trim()
+                .parse()
+                .map_err(|_| format!("{part:?}: bad rank {rank:?}"))?;
+            Ok(dcfa_mpi::KillSpec { rank, after_ops })
+        })
+        .collect()
 }
 
 /// `--chaos [--seed N] [--ranks N]`: one deterministic chaos iteration —
@@ -832,21 +812,20 @@ fn parse_kill_spec(spec: &str, ranks: usize) -> Result<Vec<dcfa_mpi::KillSpec>, 
 /// fingerprint bit-for-bit identically), gate the outcome, and on a
 /// failure print the greedily shrunk minimal reproducer in `--kill`
 /// syntax. Exits 1 if the schedule surfaced a violation.
-fn chaos_fuzz(seed: u64, ranks: usize, shards: usize, srq: bool) {
+fn chaos_fuzz(seed: u64, ranks: usize, srq: bool) {
+    let sc = scenario("--chaos", Scenario::chaos(seed, ranks, srq));
     println!(
-        "== chaos fuzz: seed {seed}, {ranks} ranks on {} DES shard(s), SRQ {} ==",
-        shards.max(1),
-        if srq { "on" } else { "off" },
+        "== chaos fuzz: seed {seed}, {ranks} ranks, SRQ {} ==",
+        on_off(srq)
     );
     // Print the sampled schedule before running, so a hang (itself a
     // bug the fuzzer exists to find) is attributable to a schedule.
-    let schedule = bench::chaos_schedule(seed, ranks);
     println!(
         "schedule ({} kills): {}",
-        schedule.len(),
-        bench::kill_spec_string(&schedule)
+        sc.kills().len(),
+        bench::kill_spec_string(sc.kills())
     );
-    let report = bench::chaos_run(seed, ranks, shards, srq);
+    let report = bench::chaos(&sc);
     println!(
         "fingerprint {:#018x} | replay {:#018x} ({}) | {} soak run(s)",
         report.fingerprint,
@@ -871,7 +850,7 @@ fn chaos_fuzz(seed: u64, ranks: usize, shards: usize, srq: bool) {
         println!(
             "minimal reproducer ({} of {} kills): repro --ranks {ranks} --kill \"{}\"",
             minimal.len(),
-            report.schedule.len(),
+            sc.kills().len(),
             bench::kill_spec_string(minimal)
         );
     }
@@ -882,8 +861,8 @@ fn chaos_fuzz(seed: u64, ranks: usize, shards: usize, srq: bool) {
 /// the fault-tolerant 4-rank mixed workload (on the SRQ receive pool when
 /// `--srq` is given — the permanent CI variant), and report how the
 /// faults surfaced: per-rank recovery counters, operation outcomes and
-/// the protocol-auditor verdict. Exits nonzero if the auditor finds an
-/// invariant violation (the trace tail is dumped for diagnosis).
+/// the protocol-auditor verdict. Exits 1 on any gate violation, 2 on a
+/// malformed spec.
 fn fault_soak(spec: &str, srq: bool) {
     let faults = match fabric::parse_fault_spec(spec) {
         Ok(f) => f,
@@ -895,39 +874,23 @@ fn fault_soak(spec: &str, srq: bool) {
     println!(
         "== fault soak: {} fault plan(s) armed over the 4-rank mixed run (SRQ {}) ==",
         faults.len(),
-        if srq { "on" } else { "off" }
+        on_off(srq)
     );
-    let soak = bench::fault_soak_run(&ClusterConfig::paper(), &faults, srq);
+    let out = bench::run(&Scenario::mixed(srq, faults, Vec::new()));
     println!(
         "operations: {} completed, {} failed with a transport error",
-        soak.ops_ok, soak.ops_failed
+        out.tally.ok, out.tally.failed
     );
-    for r in &soak.obs.reports {
+    for r in out.reports() {
         let c = &r.comm;
         println!(
             "rank {}: wc faults {}  retries {}  failed {}  reissues {}",
             r.rank, c.wr_faults, c.wr_retries, c.transport_failures, c.handshake_reissues
         );
     }
-    match &soak.obs.audit {
-        Ok(report) => println!("auditor: OK — {report:?}"),
-        Err(errors) => {
-            println!("auditor: {} invariant violations", errors.len());
-            for e in errors {
-                println!("  {e}");
-            }
-            const TAIL: usize = 60;
-            let skip = soak.obs.events.len().saturating_sub(TAIL);
-            println!(
-                "trace tail ({} of {} events):",
-                soak.obs.events.len() - skip,
-                soak.obs.events.len()
-            );
-            for ev in &soak.obs.events[skip..] {
-                println!("  {ev:?}");
-            }
-            std::process::exit(1);
-        }
+    print_audit(&out);
+    if !gate(&out) {
+        std::process::exit(1);
     }
     println!();
 }
@@ -936,8 +899,9 @@ fn fault_soak(spec: &str, srq: bool) {
 /// the delegation daemons, run the fault-tolerant 4-rank mixed workload
 /// (heartbeats and lease reaper live), and report how the chaos
 /// surfaced: recovery counters, payload integrity, host-memory balance
-/// and the auditor verdict. Exits nonzero if any payload was corrupted,
-/// a host twin page leaked, or the auditor found a violation.
+/// and the auditor verdict. Exits 1 on any gate violation (a corrupted
+/// payload, a leaked host twin page, an auditor objection), 2 on a
+/// malformed spec.
 fn daemon_fault_soak(spec: &str) {
     let faults = match dcfa::parse_daemon_fault_spec(spec) {
         Ok(f) => f,
@@ -950,12 +914,12 @@ fn daemon_fault_soak(spec: &str) {
         "== daemon chaos soak: {} control-plane fault plan(s) armed over the 4-rank mixed run ==",
         faults.len()
     );
-    let soak = bench::daemon_fault_soak_run(&ClusterConfig::paper(), &faults);
+    let out = bench::run(&Scenario::mixed(false, Vec::new(), faults));
     println!(
         "operations: {} completed, {} failed with a transport error, {} corrupted payloads",
-        soak.ops_ok, soak.ops_failed, soak.payload_errors
+        out.tally.ok, out.tally.failed, out.tally.corrupt
     );
-    if let Some(d) = &soak.obs.daemon {
+    if let Some(d) = &out.daemon {
         println!(
             "control plane: {} crashes / {} respawns, {} cmd timeouts, {} retries, \
              {} reply replays, {} reattaches ({} MRs adopted), {} leases reclaimed, {} heartbeats",
@@ -970,64 +934,40 @@ fn daemon_fault_soak(spec: &str) {
             d.heartbeats,
         );
     }
-    let mut bad = soak.payload_errors > 0;
-    for (node, before, after) in &soak.mem_balance {
+    for (node, before, after) in &out.mem_balance {
         if before != after {
             println!("node {node}: host pages LEAKED ({before} B -> {after} B)");
-            bad = true;
         } else {
             println!("node {node}: host pages balanced ({before} B)");
         }
     }
-    match &soak.obs.audit {
-        Ok(report) => println!("auditor: OK — {report:?}"),
-        Err(errors) => {
-            println!("auditor: {} invariant violations", errors.len());
-            for e in errors {
-                println!("  {e}");
-            }
-            const TAIL: usize = 60;
-            let skip = soak.obs.events.len().saturating_sub(TAIL);
-            println!(
-                "trace tail ({} of {} events):",
-                soak.obs.events.len() - skip,
-                soak.obs.events.len()
-            );
-            for ev in &soak.obs.events[skip..] {
-                println!("  {ev:?}");
-            }
-            bad = true;
-        }
-    }
-    if bad {
+    print_audit(&out);
+    if !gate(&out) {
         std::process::exit(1);
     }
     println!();
 }
 
-/// `--stats` / `--trace` / `--trace-out` / `--explain-msg` (without
-/// `--kill`): run the traced 4-rank mixed-protocol workload and report
-/// counters, fabric utilization, the event-ring tail and the
-/// protocol-auditor verdict, export the Perfetto trace, or explain one
-/// message's causal timeline.
-fn observability(
-    show_stats: bool,
-    show_trace: bool,
-    trace_out: Option<&String>,
-    explain: Option<(usize, u64)>,
-) {
-    let run = bench::observability_run(&ClusterConfig::paper());
+/// `--stats` / `--trace` / `--trace-out` / `--explain-msg` /
+/// `--metrics-json` / `--compare-metrics` (without `--kill`): run the
+/// traced 4-rank mixed-protocol profile and report counters, fabric
+/// utilization, latency percentiles, the event-ring tail and the
+/// auditor verdict; export the Perfetto trace or explain one message's
+/// causal timeline; write and gate the metrics report. Exits 1 on a gate
+/// violation or metric drift, 2 when a report cannot be read or parsed.
+fn profile(show_stats: bool, show_trace: bool, reports: &Reports) {
+    let out = bench::run(&Scenario::profile());
     if show_stats {
         println!("== per-rank protocol & cache counters (traced 4-rank mixed run) ==");
-        for r in &run.reports {
+        for r in out.reports() {
             println!("{r}");
         }
         println!(
             "trace ring: {} events captured, {} dropped",
-            run.events.len(),
-            run.dropped
+            out.events.len(),
+            out.dropped
         );
-        if let Some(d) = &run.daemon {
+        if let Some(d) = &out.daemon {
             println!(
                 "dcfa daemons: {} connections, {} commands ({} reg / {} dereg MR, {} reg / {} dereg offload, {} errors)",
                 d.connections,
@@ -1052,10 +992,10 @@ fn observability(
             );
         }
         println!("fabric channels:");
-        for f in &run.fabric {
+        for f in &out.fabric {
             println!("{f}");
         }
-        let phases = run.metrics.merged_by_phase();
+        let phases = out.metrics.merged_by_phase();
         if !phases.is_empty() {
             println!("latency percentiles (virtual ns, all ranks merged):");
             println!(
@@ -1077,31 +1017,47 @@ fn observability(
     }
     if show_trace {
         const TAIL: usize = 40;
-        let skip = run.events.len().saturating_sub(TAIL);
+        let skip = out.events.len().saturating_sub(TAIL);
         println!(
             "== protocol event trace: last {} of {} events ({} dropped by ring) ==",
-            run.events.len() - skip,
-            run.events.len(),
-            run.dropped
+            out.events.len() - skip,
+            out.events.len(),
+            out.dropped
         );
-        for ev in &run.events[skip..] {
+        for ev in &out.events[skip..] {
             println!("  {ev:?}");
         }
     }
-    if let Some(path) = trace_out {
-        write_trace_json(path, &run.events);
+    let observe = show_stats || show_trace || reports.trace_wanted();
+    if observe {
+        reports.trace(&out.events);
+        print_audit(&out);
     }
-    if let Some((rank, seq)) = explain {
-        print!("{}", bench::stitch::explain_msg(&run.events, rank, seq));
+    if !gate(&out) {
+        std::process::exit(1);
     }
-    match &run.audit {
-        Ok(report) => println!("auditor: OK — {report:?}"),
-        Err(errors) => {
-            println!("auditor: {} invariant violations", errors.len());
-            for e in errors {
-                println!("  {e}");
-            }
-        }
+    if observe {
+        println!();
+    }
+    if !reports.metrics_wanted() {
+        return;
+    }
+    let wall_secs = out.wall_ns as f64 / 1e9;
+    println!(
+        "wall clock: {:.1} ms  |  {} events ({:.0} events/s)  |  {} ops ({:.0} ops/s)",
+        out.wall_ns as f64 / 1e6,
+        out.sim_events,
+        out.sim_events as f64 / wall_secs.max(1e-12),
+        out.mpi_ops(),
+        out.mpi_ops() as f64 / wall_secs.max(1e-12),
+    );
+    let note = format!(
+        " ({} phases, {} histograms)",
+        out.metrics.merged_by_phase().len(),
+        out.metrics.snapshot().len()
+    );
+    if !reports.metrics(&out, &note) {
+        std::process::exit(1);
     }
     println!();
 }
@@ -1129,84 +1085,4 @@ fn write_trace_json(path: &str, events: &[dcfa_mpi::TraceEvent]) {
          load it at https://ui.perfetto.dev",
         stats.events, stats.slices, stats.flows, stats.tracks
     );
-}
-
-/// `--metrics-json PATH` / `--compare-metrics BASELINE`: run the profiled
-/// 4-rank mixed workload, serialize its latency histograms as the
-/// versioned JSON report, optionally write it to PATH, and optionally
-/// gate it against a saved baseline. Exits 1 on a drift violation, 2 when
-/// a report cannot be read or parsed.
-fn metrics_report(json_path: Option<&String>, baseline_path: Option<&String>, tolerance: f64) {
-    let faults_before = minor_faults();
-    let run = bench::observability_run(&ClusterConfig::paper());
-    if std::env::var_os("SIM_PROFILE").is_some() {
-        eprintln!(
-            "SIM_PROFILE: minor faults during run: {}",
-            minor_faults() - faults_before
-        );
-    }
-    if let Err(errors) = &run.audit {
-        println!(
-            "auditor: {} invariant violations in the profiled run",
-            errors.len()
-        );
-        for e in errors {
-            println!("  {e}");
-        }
-        std::process::exit(1);
-    }
-    let report = bench::metrics_report_json(&run);
-    let wall_secs = run.wall_ns as f64 / 1e9;
-    println!(
-        "wall clock: {:.1} ms  |  {} events ({:.0} events/s)  |  {} ops ({:.0} ops/s)",
-        run.wall_ns as f64 / 1e6,
-        run.sim_events,
-        run.sim_events as f64 / wall_secs.max(1e-12),
-        run.mpi_ops,
-        run.mpi_ops as f64 / wall_secs.max(1e-12),
-    );
-    if let Some(path) = json_path {
-        if let Err(e) = std::fs::write(path, &report) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        }
-        println!(
-            "metrics report written to {path} ({} phases, {} histograms)",
-            run.metrics.merged_by_phase().len(),
-            run.metrics.snapshot().len()
-        );
-    }
-    if let Some(path) = baseline_path {
-        let baseline = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read baseline {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        match bench::compare_reports_full(&baseline, &report, tolerance) {
-            Err(e) => {
-                eprintln!("compare failed: {e}");
-                std::process::exit(2);
-            }
-            Ok((violations, warnings)) => {
-                for w in &warnings {
-                    println!("warning: {w}");
-                }
-                if violations.is_empty() {
-                    println!("metrics within {tolerance}% of baseline {path}");
-                } else {
-                    println!(
-                        "{} metric(s) drifted beyond {tolerance}% of baseline {path}:",
-                        violations.len()
-                    );
-                    for v in &violations {
-                        println!("  {v}");
-                    }
-                    std::process::exit(1);
-                }
-            }
-        }
-    }
-    println!();
 }

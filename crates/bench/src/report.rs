@@ -23,7 +23,7 @@ use dcfa_mpi::{HistogramSnapshot, MpiConfig, Phase};
 
 use crate::json::{self, JsonValue};
 use crate::stitch;
-use crate::ObservabilityRun;
+use crate::Outcome;
 
 /// Schema identifier stamped into (and required of) every report.
 pub const METRICS_SCHEMA: &str = "dcfa-mpi-metrics/1";
@@ -56,7 +56,7 @@ fn push_hist_fields(out: &mut String, s: &HistogramSnapshot) {
 /// fingerprint, aggregated counters, derived bandwidth, per-phase
 /// roll-ups with percentiles, and the full per-(phase, size-class, peer)
 /// histograms with sparse bucket lists.
-pub fn metrics_report_json(run: &ObservabilityRun) -> String {
+pub fn metrics_report_json(run: &Outcome) -> String {
     let cfg: &MpiConfig = &run.cfg;
     let mut out = String::with_capacity(16 << 10);
     out.push_str("{\n");
@@ -64,7 +64,7 @@ pub fn metrics_report_json(run: &ObservabilityRun) -> String {
 
     // Config fingerprint: every knob that shapes the latency distributions.
     out.push_str("\"config\":{");
-    let _ = write!(out, "\"ranks\":{},", run.ranks);
+    let _ = write!(out, "\"ranks\":{},", run.ranks());
     let _ = write!(out, "\"placement\":\"{:?}\",", cfg.placement);
     let _ = write!(out, "\"eager_threshold\":{},", cfg.eager_threshold);
     match cfg.offload_threshold {
@@ -95,16 +95,17 @@ pub fn metrics_report_json(run: &ObservabilityRun) -> String {
     } else {
         run.sim_events as f64 / wall_secs
     };
+    let mpi_ops = run.mpi_ops();
     let ops_per_sec = if run.wall_ns == 0 {
         0.0
     } else {
-        run.mpi_ops as f64 / wall_secs
+        mpi_ops as f64 / wall_secs
     };
     out.push_str("\"wall\":{");
     let _ = write!(
         out,
         "\"wall_ns\":{},\"sim_events\":{},\"mpi_ops\":{},",
-        run.wall_ns, run.sim_events, run.mpi_ops
+        run.wall_ns, run.sim_events, mpi_ops
     );
     push_kv_num(&mut out, "events_per_sec", events_per_sec);
     out.push(',');
@@ -120,7 +121,7 @@ pub fn metrics_report_json(run: &ObservabilityRun) -> String {
     let mut packets = 0u64;
     let mut mr_hits = 0u64;
     let mut mr_misses = 0u64;
-    for r in &run.reports {
+    for r in run.reports() {
         bytes_sent += r.comm.bytes_sent;
         bytes_received += r.comm.bytes_received;
         eager_sends += r.comm.eager_sends;
@@ -143,25 +144,14 @@ pub fn metrics_report_json(run: &ObservabilityRun) -> String {
     // Scale counters: how many QP pairs lazy connection establishment
     // actually touched, the per-rank communication-buffer footprint, and
     // the SRQ pool's peak occupancy (0 on the per-pair ring path).
-    let pairs: u64 = run.reports.iter().map(|r| r.comm.pairs_established).sum();
-    let bytes_per_rank = run
-        .reports
-        .iter()
-        .map(|r| r.comm.comm_buffer_bytes)
-        .max()
-        .unwrap_or(0);
-    let srq_hw = run
-        .reports
-        .iter()
-        .map(|r| r.comm.srq_highwater)
-        .max()
-        .unwrap_or(0);
     out.push_str("\"scale\":{");
     let _ = write!(
         out,
-        "\"ranks\":{},\"established_pairs\":{pairs},\
-         \"bytes_per_rank\":{bytes_per_rank},\"srq_highwater\":{srq_hw}",
-        run.ranks
+        "\"ranks\":{},\"established_pairs\":{},\"bytes_per_rank\":{},\"srq_highwater\":{}",
+        run.ranks(),
+        run.established_pairs(),
+        run.bytes_per_rank(),
+        run.srq_highwater()
     );
     out.push_str("},\n");
 

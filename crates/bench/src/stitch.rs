@@ -7,7 +7,7 @@
 //! # Determinism
 //!
 //! The trace ring appends in simulation execution order, which the DES
-//! keeps identical across shard counts (the PR 7 gate), so everything
+//! keeps identical from run to run, so everything
 //! here — timeline order, critical-path choice, flow-id assignment —
 //! is a pure function of that stream and is bit-for-bit reproducible.
 //!
@@ -245,7 +245,7 @@ impl CriticalPath {
 /// the same rank) — the two happened-before predecessors the engine
 /// guarantees — preferring the same-message edge on a timestamp tie.
 /// Every step is resolved purely from stream order, so the result is
-/// deterministic and shard-invariant.
+/// deterministic.
 pub fn critical_path(events: &[TraceEvent]) -> Option<CriticalPath> {
     struct Node {
         id: MsgId,
@@ -285,7 +285,7 @@ pub fn critical_path(events: &[TraceEvent]) -> Option<CriticalPath> {
         return None;
     }
     // Start at the latest event; on a timestamp tie, the last in stream
-    // order (deterministic — the stream is shard-invariant).
+    // order (deterministic, like the stream itself).
     let mut cur = nodes
         .iter()
         .enumerate()

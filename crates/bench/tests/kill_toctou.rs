@@ -11,14 +11,16 @@
 //! a second kill scheduled near the end of phase 1 (op 59) that the
 //! first wedge used to keep from ever firing.
 
-use bench::{kill_soak_run, KILL_SOAK_MAX_AFTER_OPS};
+use bench::{run, Outcome, Scenario, KILL_SOAK_MAX_AFTER_OPS};
 use dcfa_mpi::KillSpec;
 
-fn kills(specs: &[(u64, usize)]) -> Vec<KillSpec> {
-    specs
+/// An 8-rank kill soak with the given `(after_ops, rank)` schedule.
+fn kill_soak(srq: bool, specs: &[(u64, usize)]) -> Outcome {
+    let kills = specs
         .iter()
         .map(|&(after_ops, rank)| KillSpec { rank, after_ops })
-        .collect()
+        .collect();
+    run(&Scenario::halo(8, srq, Vec::new(), kills).expect("valid schedule"))
 }
 
 /// The minimized chaos schedule: early death racing entry calls plus a
@@ -26,23 +28,23 @@ fn kills(specs: &[(u64, usize)]) -> Vec<KillSpec> {
 /// isend/irecv and the idempotent corpse sweep on QP-flush errors.
 #[test]
 fn mid_entry_kill_does_not_strand_survivors() {
-    let run = kill_soak_run(8, 1, true, &kills(&[(13, 3), (59, 6)]));
-    run.healthy().unwrap_or_else(|violations| {
+    let out = kill_soak(true, &[(13, 3), (59, 6)]);
+    out.healthy().unwrap_or_else(|violations| {
         panic!("kill soak unhealthy: {violations:?}");
     });
-    assert_eq!(run.expected_shrunk(), 6);
+    assert_eq!(out.survivors(), 6);
 }
 
 /// The same shape must also recover on the per-pair ring path (no SRQ)
 /// and stay bit-for-bit deterministic across runs.
 #[test]
 fn mid_entry_kill_recovers_without_srq_and_replays_identically() {
-    let ks = kills(&[(13, 3), (59, 6)]);
-    let a = kill_soak_run(8, 1, false, &ks);
+    let ks = [(13, 3), (59, 6)];
+    let a = kill_soak(false, &ks);
     a.healthy().unwrap_or_else(|violations| {
         panic!("kill soak unhealthy: {violations:?}");
     });
-    let b = kill_soak_run(8, 1, false, &ks);
+    let b = kill_soak(false, &ks);
     assert_eq!(
         a.fingerprint(),
         b.fingerprint(),
@@ -56,9 +58,9 @@ fn mid_entry_kill_recovers_without_srq_and_replays_identically() {
 #[test]
 fn last_op_kill_recovers() {
     assert_eq!(KILL_SOAK_MAX_AFTER_OPS, 65);
-    let run = kill_soak_run(8, 1, true, &kills(&[(KILL_SOAK_MAX_AFTER_OPS, 2)]));
-    run.healthy().unwrap_or_else(|violations| {
+    let out = kill_soak(true, &[(KILL_SOAK_MAX_AFTER_OPS, 2)]);
+    out.healthy().unwrap_or_else(|violations| {
         panic!("kill soak unhealthy: {violations:?}");
     });
-    assert_eq!(run.expected_shrunk(), 7);
+    assert_eq!(out.survivors(), 7);
 }

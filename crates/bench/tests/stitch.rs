@@ -1,12 +1,12 @@
 //! Integration gates for the cross-rank causal tracing subsystem: the
 //! stitched lifecycle DAG must account for (virtually) all of every
 //! completed message's end-to-end time on every protocol path, the
-//! critical path must be bit-for-bit identical across DES shard counts,
-//! and the Perfetto export must self-validate.
+//! critical path must be bit-for-bit identical across runs, and the
+//! Perfetto export must self-validate.
 
 use bench::stitch::{self, MsgTimeline};
+use bench::{run, Scenario};
 use dcfa_mpi::KillSpec;
-use fabric::ClusterConfig;
 
 /// ISSUE 9 acceptance bar: the DAG explains at least this fraction of
 /// each completed message's lifetime. (The stitcher's telescoping edges
@@ -36,9 +36,9 @@ fn assert_full_coverage(messages: &[MsgTimeline], label: &str) {
 /// stream must pass schema validation.
 #[test]
 fn mixed_run_stitches_with_full_coverage() {
-    let run = bench::observability_run(&ClusterConfig::paper());
-    assert_eq!(run.dropped, 0, "mixed run must not saturate the trace ring");
-    let st = stitch::stitch(&run.events, run.dropped);
+    let out = run(&Scenario::profile());
+    assert_eq!(out.dropped, 0, "mixed run must not saturate the trace ring");
+    let st = stitch::stitch(&out.events, out.dropped);
     assert!(st.warnings.is_empty(), "{:?}", st.warnings);
     assert_full_coverage(&st.messages, "mixed");
     // Rendezvous messages (64 KiB) are in the DAG, not only eager ones.
@@ -46,7 +46,7 @@ fn mixed_run_stitches_with_full_coverage() {
         st.messages.iter().any(|m| m.len >= 64 << 10 && m.complete),
         "no completed rendezvous-size message stitched"
     );
-    let json = stitch::trace_json(&run.events);
+    let json = stitch::trace_json(&out.events);
     let stats = stitch::validate_trace_json(&json).expect("export is schema-valid");
     assert!(stats.flows > 0, "cross-rank edges must emit flow pairs");
     assert_eq!(stats.tracks, 4, "one track per rank");
@@ -54,13 +54,12 @@ fn mixed_run_stitches_with_full_coverage() {
 
 /// The kill soak (eager + SRQ reorder stash + rank death) must stitch
 /// and cover identically, and its critical path must not change when the
-/// same virtual cluster runs on 1, 2 or 4 DES shards — the trace stream
-/// is part of the shard-invariance contract (PR 7), and the critical
-/// path is a pure function of it.
+/// same schedule runs twice — the trace stream is deterministic, and the
+/// critical path is a pure function of it.
 #[test]
-fn kill_soak_critical_path_is_shard_invariant_with_full_coverage() {
+fn kill_soak_critical_path_is_deterministic_with_full_coverage() {
     const RANKS: usize = 16;
-    let kills = [
+    let kills = vec![
         KillSpec {
             rank: 3,
             after_ops: 5,
@@ -70,26 +69,22 @@ fn kill_soak_critical_path_is_shard_invariant_with_full_coverage() {
             after_ops: 20,
         },
     ];
+    let sc = Scenario::halo(RANKS, true, Vec::new(), kills).expect("valid schedule");
     let mut paths = Vec::new();
     let mut fingerprints = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let run = bench::kill_soak_run(RANKS, shards, true, &kills);
-        run.healthy().expect("kill soak gates pass");
-        assert_eq!(run.obs.dropped, 0, "shards={shards}: trace ring saturated");
-        let st = stitch::stitch(&run.obs.events, run.obs.dropped);
-        assert_full_coverage(&st.messages, &format!("kill/shards={shards}"));
-        paths.push(stitch::critical_path(&run.obs.events).expect("events present"));
-        fingerprints.push(run.fingerprint());
+    for attempt in 0..2 {
+        let out = run(&sc);
+        out.healthy().expect("kill soak gates pass");
+        assert_eq!(out.dropped, 0, "run {attempt}: trace ring saturated");
+        let st = stitch::stitch(&out.events, out.dropped);
+        assert_full_coverage(&st.messages, &format!("kill/run {attempt}"));
+        paths.push(stitch::critical_path(&out.events).expect("events present"));
+        fingerprints.push(out.fingerprint());
     }
-    assert_eq!(paths[0], paths[1], "critical path differs on 2 shards");
-    assert_eq!(paths[0], paths[2], "critical path differs on 4 shards");
+    assert_eq!(paths[0], paths[1], "critical path differs between runs");
     assert_eq!(
         fingerprints[0], fingerprints[1],
-        "run fingerprint differs on 2 shards"
-    );
-    assert_eq!(
-        fingerprints[0], fingerprints[2],
-        "run fingerprint differs on 4 shards"
+        "run fingerprint differs between runs"
     );
     // The path is non-trivial: it spans time and crosses the wire.
     assert!(paths[0].total_ns > 0);
@@ -105,8 +100,7 @@ fn kill_soak_critical_path_is_shard_invariant_with_full_coverage() {
 /// and it round-trips through the comparator at zero tolerance.
 #[test]
 fn critical_path_report_section_round_trips() {
-    let run = bench::observability_run(&ClusterConfig::paper());
-    let report = bench::metrics_report_json(&run);
+    let report = bench::metrics_report_json(&run(&Scenario::profile()));
     assert!(
         report.contains("\"critical_path\":{\"total_ns\":"),
         "report lacks the critical_path section"

@@ -293,7 +293,7 @@ where
             let ib_down = ib.clone();
             b.set_teardown(r, Box::new(move |_s| ib_down.kill_node(node)));
         }
-        let pid = sim.spawn(format!("rank{r}"), move |ctx| {
+        sim.spawn(format!("rank{r}"), move |ctx| {
             let res = match cfg.placement {
                 Placement::Phi => {
                     let dcfg = dcfa::DcfaConfig {
@@ -364,10 +364,6 @@ where
                 b.mark_done();
             }
         });
-        // Shard the event wheel by simulated node: a rank's events stay
-        // on its node's wheel (purely load-balancing metadata — the
-        // merged execution order is identical at any shard count).
-        sim.assign_shard(pid, node.0);
     }
     daemon_stats
 }

@@ -271,17 +271,12 @@ fn srq_heals_transient_send_faults_with_reordered_arrivals() {
     assert!(retries >= 3, "fault plans never fired (retries={retries})");
 }
 
-/// One faulted SRQ halo run at a given DES shard count: every rank
-/// exchanges salted halos with its ring neighbors while transient Send
-/// faults fire. Returns the full protocol trace and per-rank counters.
-fn sharded_soak(shards: usize) -> (Vec<TraceEvent>, Vec<StatsReport>) {
+/// One faulted SRQ halo run: every rank exchanges salted halos with its
+/// ring neighbors while transient Send faults fire. Returns the full
+/// protocol trace and per-rank counters.
+fn faulted_halo_soak() -> (Vec<TraceEvent>, Vec<StatsReport>) {
     let n = 8usize;
     let mut sim = Simulation::new();
-    if shards > 1 {
-        // Lookahead = the paper cluster's 700 ns IB wire latency: shard
-        // assignment is per node, so only inter-node events cross wheels.
-        sim.set_shards(shards, simcore::SimDuration::from_nanos(700));
-    }
     let cluster = Cluster::new(sim.scheduler(), ClusterConfig::with_nodes(n));
     let ib = IbFabric::new(cluster.clone());
     for after in [3u64, 11] {
@@ -338,15 +333,12 @@ fn sharded_soak(shards: usize) -> (Vec<TraceEvent>, Vec<StatsReport>) {
 }
 
 #[test]
-fn shard_count_never_changes_execution() {
-    // The sharded DES must be a pure throughput optimization: the same
-    // seed-free deterministic run, faults included, produces an identical
-    // event trace and identical counters at any shard count.
-    let (t1, s1) = sharded_soak(1);
+fn faulted_halo_soak_is_deterministic() {
+    // The same seed-free run, faults included, produces an identical
+    // event trace and identical counters every time.
+    let (t1, s1) = faulted_halo_soak();
     assert!(!t1.is_empty());
-    for shards in [2usize, 4] {
-        let (t, s) = sharded_soak(shards);
-        assert_eq!(t1, t, "trace diverged at {shards} shards");
-        assert_eq!(s1, s, "counters diverged at {shards} shards");
-    }
+    let (t2, s2) = faulted_halo_soak();
+    assert_eq!(t1, t2, "trace diverged between runs");
+    assert_eq!(s1, s2, "counters diverged between runs");
 }

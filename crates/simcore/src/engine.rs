@@ -15,23 +15,9 @@
 //! carry the epoch they target. A stale wake (the process already continued
 //! for another reason, or finished) is dropped. This makes spurious wakes
 //! impossible by construction.
-//!
-//! # Sharded event wheel
-//!
-//! [`Simulation::set_shards`] partitions the pending-event set into one
-//! wheel (binary heap) per shard, with processes assigned to shards by
-//! key — typically their simulated node ([`Simulation::assign_shard`]).
-//! Execution order never changes: events always fire in global
-//! `(time, seq)` order, so the same seed yields the same trace at any
-//! shard count. What the shards buy is the *heap maintenance*: when the
-//! wheels grow past a threshold, a worker thread per shard drains its
-//! wheel up to a conservative lookahead horizon (the earliest pending
-//! event plus the configured minimum inter-node link latency) in
-//! parallel, and a deterministic k-way merge lines the batch up in a
-//! staged queue that pops and new inserts hit without touching any heap.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -62,9 +48,6 @@ pub(crate) enum EventKind {
 struct ScheduledEvent {
     time: SimTime,
     seq: u64,
-    /// Which wheel the event was routed to. Pure load-balancing metadata:
-    /// execution order depends only on `(time, seq)`.
-    shard: u32,
     kind: EventKind,
 }
 
@@ -121,70 +104,11 @@ struct ProcSlot {
 /// Installed trace hook.
 type TraceHook = Box<dyn Fn(SimTime, &str) + Send>;
 
-type Wheel = BinaryHeap<Reverse<ScheduledEvent>>;
-
-/// One staging worker: owns no state, receives `(wheel, horizon)` jobs and
-/// returns the wheel with its due events drained into a sorted batch. The
-/// thread exits when its job channel disconnects (engine state dropped or
-/// re-sharded).
-struct ShardWorker {
-    job_tx: Sender<(Wheel, SimTime)>,
-    res_rx: Receiver<(Wheel, Vec<ScheduledEvent>)>,
-}
-
-fn spawn_shard_worker(i: usize) -> ShardWorker {
-    let (job_tx, job_rx) = unbounded::<(Wheel, SimTime)>();
-    let (res_tx, res_rx) = unbounded();
-    std::thread::Builder::new()
-        .name(format!("sim-shard{i}"))
-        .spawn(move || {
-            while let Ok((mut wheel, horizon)) = job_rx.recv() {
-                let mut due = Vec::new();
-                while wheel.peek().is_some_and(|Reverse(e)| e.time <= horizon) {
-                    let Some(Reverse(e)) = wheel.pop() else {
-                        unreachable!("peeked wheel entry vanished")
-                    };
-                    due.push(e);
-                }
-                if res_tx.send((wheel, due)).is_err() {
-                    return;
-                }
-            }
-        })
-        .expect("failed to spawn shard worker");
-    ShardWorker { job_tx, res_rx }
-}
-
-/// Don't bother shipping wheels to workers below this many queued events:
-/// the per-round channel hops would cost more than the heap pops saved.
-const STAGE_THRESHOLD: usize = 256;
-
 pub(crate) struct EngineState {
     now: SimTime,
     next_seq: u64,
-    /// Per-shard event wheels. Always at least one; the single-wheel case
-    /// is the classic global heap.
-    wheels: Vec<Wheel>,
-    /// Events at or below `stage_horizon`, already in global `(time, seq)`
-    /// order. While non-empty it holds *every* queued event at or below the
-    /// horizon (the wheels hold only later events), so the front is the
-    /// global minimum.
-    staged: VecDeque<ScheduledEvent>,
-    stage_horizon: Option<SimTime>,
-    /// Worker thread per shard; empty unless sharding is enabled.
-    workers: Vec<ShardWorker>,
-    /// Shard key per process (typically its simulated node id); the shard
-    /// is `key % wheels.len()`. Missing entries default to key 0.
-    proc_shard: Vec<u32>,
-    /// Shard of the event currently executing; `Call` events scheduled from
-    /// engine context inherit it, keeping device-model event chains on the
-    /// wheel of the process that started them.
-    current_shard: u32,
-    /// Conservative staging lookahead: the minimum inter-node link latency.
-    /// Events this far past the earliest pending event may be staged
-    /// together because nothing can schedule between them from outside the
-    /// window (and inserts *inside* the window go straight to `staged`).
-    lookahead: SimDuration,
+    /// Pending events, popped in `(time, seq)` order.
+    queue: BinaryHeap<Reverse<ScheduledEvent>>,
     procs: Vec<ProcSlot>,
     live: usize,
     events_processed: u64,
@@ -197,159 +121,25 @@ impl EngineState {
         debug_assert!(time >= self.now, "event scheduled in the past");
         let seq = self.next_seq;
         self.next_seq += 1;
-        let shard = self.shard_for(&kind);
-        let ev = ScheduledEvent {
-            time,
-            seq,
-            shard,
-            kind,
-        };
-        if let Some(h) = self.stage_horizon {
-            if time <= h {
-                // Keep the partition invariant: `staged` owns everything at
-                // or below the horizon. The new event carries the largest
-                // seq, so it sorts after every queued event at equal time.
-                let idx = self.staged.partition_point(|e| e.time <= time);
-                self.staged.insert(idx, ev);
-                return;
-            }
-        }
-        self.wheels[shard as usize].push(Reverse(ev));
+        self.queue.push(Reverse(ScheduledEvent { time, seq, kind }));
     }
 
-    fn shard_for(&self, kind: &EventKind) -> u32 {
-        let n = self.wheels.len() as u32;
-        match kind {
-            EventKind::Wake(t) => self.proc_shard.get(t.pid.0).copied().unwrap_or(0) % n,
-            EventKind::Call(_) => self.current_shard % n,
-        }
-    }
-
-    /// Earliest queued event time, across the staged batch and all wheels.
+    /// Earliest queued event time.
     fn earliest_time(&self) -> Option<SimTime> {
-        if let Some(e) = self.staged.front() {
-            return Some(e.time);
-        }
-        self.wheels
-            .iter()
-            .filter_map(|w| w.peek().map(|Reverse(e)| e.time))
-            .min()
+        self.queue.peek().map(|Reverse(e)| e.time)
     }
 
     /// Whether the next queued event is a process wake (vs a device `Call`
     /// or nothing). Used by the direct-handoff fast path in [`Ctx::park`].
     fn next_is_wake(&self) -> Option<bool> {
-        self.peek_next()
-            .map(|e| matches!(e.kind, EventKind::Wake(_)))
+        self.queue
+            .peek()
+            .map(|Reverse(e)| matches!(e.kind, EventKind::Wake(_)))
     }
 
-    fn peek_next(&self) -> Option<&ScheduledEvent> {
-        if let Some(e) = self.staged.front() {
-            return Some(e);
-        }
-        let mut best: Option<&ScheduledEvent> = None;
-        for w in &self.wheels {
-            if let Some(Reverse(e)) = w.peek() {
-                if best.is_none_or(|b| (e.time, e.seq) < (b.time, b.seq)) {
-                    best = Some(e);
-                }
-            }
-        }
-        best
-    }
-
-    /// Pop the globally next event in `(time, seq)` order, staging a batch
-    /// through the shard workers first when it pays off.
+    /// Pop the next event in `(time, seq)` order.
     fn pop_next(&mut self) -> Option<ScheduledEvent> {
-        self.maybe_stage();
-        let ev = if let Some(ev) = self.staged.pop_front() {
-            if self.staged.is_empty() {
-                self.stage_horizon = None;
-            }
-            ev
-        } else {
-            let best = self
-                .wheels
-                .iter()
-                .enumerate()
-                .filter_map(|(i, w)| w.peek().map(|Reverse(e)| ((e.time, e.seq), i)))
-                .min()?;
-            let Some(Reverse(ev)) = self.wheels[best.1].pop() else {
-                unreachable!("peeked wheel entry vanished")
-            };
-            ev
-        };
-        self.current_shard = ev.shard;
-        Some(ev)
-    }
-
-    /// When the staged batch is dry and the wheels are deep, drain every
-    /// wheel up to a conservative horizon on its worker thread and merge the
-    /// batches deterministically. The horizon is `earliest event +
-    /// lookahead`: nothing outside the window can schedule below it (link
-    /// latency bounds cross-shard causality), and inserts from *inside* the
-    /// window are routed into `staged` by [`EngineState::schedule`].
-    fn maybe_stage(&mut self) {
-        if self.workers.is_empty() || !self.staged.is_empty() {
-            return;
-        }
-        if self.wheels.iter().map(|w| w.len()).sum::<usize>() < STAGE_THRESHOLD {
-            return;
-        }
-        let Some(min_time) = self.earliest_time() else {
-            return;
-        };
-        let horizon = min_time + self.lookahead;
-        for (w, worker) in self.wheels.iter_mut().zip(&self.workers) {
-            let wheel = std::mem::take(w);
-            worker
-                .job_tx
-                .send((wheel, horizon))
-                .expect("shard worker gone");
-        }
-        let mut parts = Vec::with_capacity(self.workers.len());
-        for (w, worker) in self.wheels.iter_mut().zip(&self.workers) {
-            let (wheel, due) = worker.res_rx.recv().expect("shard worker gone");
-            *w = wheel;
-            parts.push(due);
-        }
-        // Deterministic k-way merge by (time, seq): the staged order is the
-        // exact global order regardless of shard count or worker timing.
-        self.staged = kway_merge(parts);
-        if !self.staged.is_empty() {
-            self.stage_horizon = Some(horizon);
-        }
-    }
-
-    /// Re-partition the pending-event set into `shards` wheels and spawn
-    /// (or retire) the staging workers.
-    fn set_shards(&mut self, shards: usize, lookahead: SimDuration) {
-        let shards = shards.max(1);
-        let mut all: Vec<ScheduledEvent> = Vec::new();
-        for w in self.wheels.iter_mut() {
-            all.extend(std::mem::take(w).into_vec().into_iter().map(|Reverse(e)| e));
-        }
-        all.extend(self.staged.drain(..));
-        self.stage_horizon = None;
-        self.lookahead = lookahead;
-        self.wheels = (0..shards).map(|_| Wheel::new()).collect();
-        // Dropping the old workers' job channels retires their threads.
-        self.workers = if shards >= 2 {
-            (0..shards).map(spawn_shard_worker).collect()
-        } else {
-            Vec::new()
-        };
-        for mut ev in all {
-            ev.shard = self.shard_for(&ev.kind);
-            self.wheels[ev.shard as usize].push(Reverse(ev));
-        }
-    }
-
-    fn assign_shard(&mut self, pid: ProcId, key: u32) {
-        if self.proc_shard.len() <= pid.0 {
-            self.proc_shard.resize(pid.0 + 1, 0);
-        }
-        self.proc_shard[pid.0] = key;
+        self.queue.pop().map(|Reverse(e)| e)
     }
 
     fn trace(&self, msg: &str) {
@@ -357,35 +147,6 @@ impl EngineState {
             t(self.now, msg);
         }
     }
-}
-
-/// Merge per-shard batches (each sorted ascending) into one globally sorted
-/// queue. O(k) per event; k (the shard count) is small.
-fn kway_merge(parts: Vec<Vec<ScheduledEvent>>) -> VecDeque<ScheduledEvent> {
-    let total = parts.iter().map(|p| p.len()).sum();
-    let mut iters: Vec<_> = parts
-        .into_iter()
-        .map(|p| p.into_iter().peekable())
-        .collect();
-    let mut out = VecDeque::with_capacity(total);
-    loop {
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (i, it) in iters.iter_mut().enumerate() {
-            if let Some(e) = it.peek() {
-                if best.is_none_or(|(t, s, _)| (e.time, e.seq) < (t, s)) {
-                    best = Some((e.time, e.seq, i));
-                }
-            }
-        }
-        let Some((_, _, i)) = best else {
-            break;
-        };
-        let Some(ev) = iters[i].next() else {
-            unreachable!("peeked merge entry vanished")
-        };
-        out.push_back(ev);
-    }
-    out
 }
 
 struct Shared {
@@ -458,12 +219,6 @@ impl Scheduler {
         let mut st = self.shared.state.lock();
         let t = t.max(st.now);
         st.schedule(t, EventKind::Wake(target));
-    }
-
-    /// Assign `pid` to an event-wheel shard by key (typically its simulated
-    /// node id); see [`Simulation::assign_shard`].
-    pub fn assign_shard(&self, pid: ProcId, key: usize) {
-        self.shared.state.lock().assign_shard(pid, key as u32);
     }
 }
 
@@ -679,16 +434,6 @@ impl Ctx {
     }
 
     fn park(&mut self) {
-        if profile_enabled() {
-            LAST_RESUME.with(|c| {
-                if let Some(t) = c.take() {
-                    PROFILE_ACTIVE_NS.fetch_add(
-                        t.elapsed().as_nanos() as u64,
-                        std::sync::atomic::Ordering::Relaxed,
-                    );
-                }
-            });
-        }
         // Direct handoff: while this thread runs, the engine thread sits
         // blocked waiting for our park, so bouncing control through it
         // costs two thread switches per event. If the next event is a
@@ -738,12 +483,7 @@ impl Ctx {
             }
         };
         match hand {
-            Hand::SelfResume => {
-                if profile_enabled() {
-                    LAST_RESUME.with(|c| c.set(Some(std::time::Instant::now())));
-                }
-                return;
-            }
+            Hand::SelfResume => return,
             Hand::Direct(tx) => {
                 tx.send(Resume::Go).expect("process thread gone");
             }
@@ -760,20 +500,7 @@ impl Ctx {
             // resume_unwind skips the panic hook: teardown stays quiet.
             Ok(Resume::Abort) | Err(_) => std::panic::resume_unwind(Box::new(AbortMarker)),
         }
-        if profile_enabled() {
-            LAST_RESUME.with(|c| c.set(Some(std::time::Instant::now())));
-        }
     }
-}
-
-static PROFILE_ACTIVE_NS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-thread_local! {
-    static LAST_RESUME: std::cell::Cell<Option<std::time::Instant>> =
-        const { std::cell::Cell::new(None) };
-}
-fn profile_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("SIM_PROFILE").is_some())
 }
 
 /// Outcome of a completed run.
@@ -874,13 +601,7 @@ impl Simulation {
             state: Mutex::new(EngineState {
                 now: SimTime::ZERO,
                 next_seq: 0,
-                wheels: vec![Wheel::new()],
-                staged: VecDeque::new(),
-                stage_horizon: None,
-                workers: Vec::new(),
-                proc_shard: Vec::new(),
-                current_shard: 0,
-                lookahead: SimDuration::ZERO,
+                queue: BinaryHeap::new(),
                 procs: Vec::new(),
                 live: 0,
                 events_processed: 0,
@@ -928,12 +649,6 @@ impl Simulation {
 
     /// Run until the event queue drains and every process has finished.
     pub fn run(&mut self) -> Result<RunReport, SimError> {
-        let profile = std::env::var_os("SIM_PROFILE").is_some();
-        let mut calls = 0u64;
-        let mut call_ns = 0u64;
-        let mut wakes = 0u64;
-        let mut wake_ns = 0u64;
-        let t_run = std::time::Instant::now();
         loop {
             let ev = {
                 let mut st = self.shared.state.lock();
@@ -956,18 +671,6 @@ impl Simulation {
             let Some(ev) = ev else {
                 let st = self.shared.state.lock();
                 if st.live == 0 {
-                    if profile {
-                        eprintln!(
-                            "SIM_PROFILE: total {:.1}ms | {} calls {:.1}ms | {} wakes {:.1}ms | proc-active {:.1}ms",
-                            t_run.elapsed().as_secs_f64() * 1e3,
-                            calls,
-                            call_ns as f64 / 1e6,
-                            wakes,
-                            wake_ns as f64 / 1e6,
-                            PROFILE_ACTIVE_NS.load(std::sync::atomic::Ordering::Relaxed) as f64
-                                / 1e6,
-                        );
-                    }
                     return Ok(RunReport {
                         final_time: st.now,
                         events_processed: st.events_processed,
@@ -989,14 +692,10 @@ impl Simulation {
             };
             match ev.kind {
                 EventKind::Call(f) => {
-                    let t0 = std::time::Instant::now();
                     let sched = self.scheduler();
                     f(&sched);
-                    calls += 1;
-                    call_ns += t0.elapsed().as_nanos() as u64;
                 }
                 EventKind::Wake(target) => {
-                    let t0 = std::time::Instant::now();
                     let resume_tx = {
                         let mut st = self.shared.state.lock();
                         let slot = &mut st.procs[target.pid.0];
@@ -1007,10 +706,7 @@ impl Simulation {
                         slot.resume_tx.clone()
                     };
                     resume_tx.send(Resume::Go).expect("process thread gone");
-                    let parked = self.park_rx.recv().expect("all process threads gone");
-                    wakes += 1;
-                    wake_ns += t0.elapsed().as_nanos() as u64;
-                    match parked {
+                    match self.park_rx.recv().expect("all process threads gone") {
                         Park::Blocked(pid) => {
                             self.shared.state.lock().procs[pid.0].status = ProcStatus::Blocked;
                         }
@@ -1049,28 +745,6 @@ impl Simulation {
     /// Name of a process (for diagnostics).
     pub fn proc_name(&self, pid: ProcId) -> String {
         self.shared.state.lock().procs[pid.0].name.clone()
-    }
-
-    /// Partition the event wheel into `shards` per-shard heaps, each
-    /// maintained by its own worker thread, with `lookahead` as the
-    /// conservative staging window (use the minimum inter-node link
-    /// latency). Execution order — and therefore every trace and result —
-    /// is identical at any shard count; see the module docs. `shards <= 1`
-    /// restores the single global wheel. Pending events are re-homed.
-    pub fn set_shards(&self, shards: usize, lookahead: SimDuration) {
-        self.shared.state.lock().set_shards(shards, lookahead);
-    }
-
-    /// Current shard count.
-    pub fn shards(&self) -> usize {
-        self.shared.state.lock().wheels.len()
-    }
-
-    /// Assign `pid` to an event-wheel shard by key; the shard is
-    /// `key % shards`. Typically the key is the simulated node id, so each
-    /// node's event chains stay on one wheel. Keys survive re-sharding.
-    pub fn assign_shard(&self, pid: ProcId, key: usize) {
-        self.shared.state.lock().assign_shard(pid, key as u32);
     }
 }
 
