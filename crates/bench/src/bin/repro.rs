@@ -629,8 +629,9 @@ fn scale_soak(ranks: usize, srq: bool) {
         ranks as u64 * (ranks as u64 - 1)
     );
     println!(
-        "comm buffer bytes per rank: {} max | srq pool high-water: {} slot(s)",
+        "comm buffer bytes per rank: {} max allocated, {} resident | srq pool high-water: {} slot(s)",
         out.bytes_per_rank(),
+        out.resident_bytes_per_rank(),
         out.srq_highwater()
     );
     print_audit(&out);

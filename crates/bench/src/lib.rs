@@ -696,6 +696,9 @@ pub struct Outcome {
     pub failures: Option<FailureSummary>,
     /// Virtual time the whole simulation took, in nanoseconds.
     pub elapsed_ns: u64,
+    /// Host memory the simulated domains had materialized at the end of
+    /// the run ([`fabric::Cluster::resident_bytes`]), in bytes.
+    pub resident_bytes: u64,
     /// Wall-clock time the simulation took to execute, in nanoseconds.
     /// Machine-dependent: gated as a floor, never as symmetric drift.
     pub wall_ns: u64,
@@ -758,6 +761,12 @@ impl Outcome {
             .map(|r| r.comm.comm_buffer_bytes)
             .max()
             .unwrap_or(0)
+    }
+
+    /// Resident simulated memory per launched rank: the written pages
+    /// behind [`Outcome::bytes_per_rank`]'s allocations.
+    pub fn resident_bytes_per_rank(&self) -> u64 {
+        self.resident_bytes / self.ranks() as u64
     }
 
     /// Highest SRQ pool occupancy any rank saw.
@@ -1114,6 +1123,7 @@ pub fn run(sc: &Scenario) -> Outcome {
         metrics,
         failures,
         elapsed_ns: run_report.final_time.0,
+        resident_bytes: cluster.resident_bytes(),
         wall_ns,
         sim_events: run_report.events_processed,
     }

@@ -342,3 +342,64 @@ fn faulted_halo_soak_is_deterministic() {
     assert_eq!(t1, t2, "trace diverged between runs");
     assert_eq!(s1, s2, "counters diverged between runs");
 }
+
+/// Ceiling on resident simulated memory per rank after a 64-rank SRQ
+/// halo: the host pages the simulator actually materialized, not the
+/// bytes the ranks allocated (3.2 MB each, 2.1 MB of it the receive
+/// pool). Measured at 80 KiB per rank, host and Phi domains together; a
+/// dense backing store would charge at least the whole pool.
+const RESIDENT_BYTES_PER_RANK_CEILING: u64 = 256 << 10;
+
+#[test]
+fn srq_halo_resident_memory_stays_sparse() {
+    // The Phi has no demand paging, so every rank allocates its full
+    // receive pool up front, but a halo touches only a few of its slots.
+    // The simulator must pay host memory for written pages only.
+    let n = 64usize;
+    let mut sim = Simulation::new();
+    let cluster = Cluster::new(sim.scheduler(), ClusterConfig::with_nodes(n));
+    let ib = IbFabric::new(cluster.clone());
+    let scif = ScifFabric::new(cluster.clone());
+    let allocated: Arc<Mutex<u64>> = Arc::new(Mutex::new(0));
+    let a2 = allocated.clone();
+    let opts = LaunchOpts::default();
+    launch(&sim, &ib, &scif, srq_cfg(), n, opts, move |ctx, comm| {
+        let me = comm.rank();
+        let len = 1024u64;
+        let peers = [(me + 1) % n, (me + n - 1) % n];
+        let sbufs: Vec<_> = peers.iter().map(|_| comm.alloc(len).unwrap()).collect();
+        let rbufs: Vec<_> = peers.iter().map(|_| comm.alloc(len).unwrap()).collect();
+        for round in 0..4u32 {
+            let mut reqs = Vec::with_capacity(4);
+            for (i, &peer) in peers.iter().enumerate() {
+                comm.write(&sbufs[i], 0, &pattern(len as usize, me as u8 ^ round as u8));
+                reqs.push(
+                    comm.irecv(ctx, &rbufs[i], Src::Rank(peer), TagSel::Tag(round))
+                        .unwrap(),
+                );
+                reqs.push(comm.isend(ctx, &sbufs[i], peer, round).unwrap());
+            }
+            comm.waitall(ctx, &reqs).unwrap();
+            for (i, &peer) in peers.iter().enumerate() {
+                assert_eq!(
+                    comm.read_vec(&rbufs[i]),
+                    pattern(len as usize, peer as u8 ^ round as u8)
+                );
+            }
+        }
+        let mut a = a2.lock();
+        *a = (*a).max(comm.stats().comm_buffer_bytes);
+    });
+    sim.run_expect();
+    let allocated = *allocated.lock();
+    let resident = cluster.resident_bytes() / n as u64;
+    assert!(
+        allocated > 2_000_000,
+        "expected the full SRQ pool allocated per rank, got {allocated} B"
+    );
+    assert!(
+        resident < RESIDENT_BYTES_PER_RANK_CEILING,
+        "{resident} B resident per rank (of {allocated} B allocated), ceiling is \
+         {RESIDENT_BYTES_PER_RANK_CEILING}"
+    );
+}

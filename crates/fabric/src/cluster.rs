@@ -190,6 +190,16 @@ impl Cluster {
         self.memory(mem).lock().used()
     }
 
+    /// Host memory backing every domain of every node (see
+    /// [`Memory::resident_bytes`]): the simulator's footprint, as opposed
+    /// to the simulated allocations [`Cluster::mem_used`] counts.
+    pub fn resident_bytes(&self) -> u64 {
+        self.nodes
+            .iter()
+            .map(|n| n.host_mem.lock().resident_bytes() + n.phi_mem.lock().resident_bytes())
+            .sum()
+    }
+
     /// Write bytes (content plane only — charge time separately if needed).
     pub fn write(&self, buf: &Buffer, offset: u64, data: &[u8]) {
         self.memory(buf.mem).lock().write(buf, offset, data);

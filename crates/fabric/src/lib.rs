@@ -4,8 +4,9 @@
 //! co-processor cards, PCIe, Mellanox ConnectX-3 HCAs and an InfiniBand
 //! switch) with calibrated behavioural models:
 //!
-//! * [`Memory`]/[`Buffer`] — per-domain byte arenas with a real allocator;
-//!   data movement moves real bytes so protocol correctness is testable.
+//! * [`Memory`]/[`Buffer`] — per-domain sparse page tables with a real
+//!   allocator; data movement moves real bytes so protocol correctness is
+//!   testable, and only written pages cost host memory.
 //! * [`BwChannel`] — serialized bandwidth resources (PCIe directions, IB
 //!   ports) with head-of-line queueing.
 //! * [`Cluster`] — node topology plus the two data-movement primitives the

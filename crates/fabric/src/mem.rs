@@ -1,12 +1,31 @@
-//! Simulated memory: per-domain byte arenas with a first-fit allocator.
+//! Simulated memory: per-domain sparse page tables with a first-fit
+//! allocator.
 //!
 //! Buffers hold *real bytes* so that protocol correctness (does the receive
 //! buffer contain exactly what was sent?) is testable, while capacity
-//! accounting models the Phi's hard memory limit (no demand paging on the
-//! paper's micro-kernel).
+//! accounting models the Phi's hard memory limit: the paper's micro-kernel
+//! has no demand paging (§V experiment 3), so `alloc` charges the full
+//! length against the domain's capacity and fails with [`OutOfMemory`]
+//! when it is exhausted, however little of the allocation is ever written.
+//!
+//! The sparsity is host-side only. Each domain backs its address space
+//! with a page table of [`PAGE_SIZE`] pages: a write materializes just the
+//! pages it touches, a read of an absent page yields zeros, and growing
+//! the table never copies a byte. A rank's pre-posted receive pool, almost
+//! all of it never written, costs its full capacity but little host memory.
+//!
+//! Whole pages left inside a free block by [`Memory::free`], and every page
+//! of a dropped [`Memory`], go to one process-wide spare-page list; the
+//! next materialization anywhere in the process takes a page from it and
+//! zeroes it. Tearing down one simulation and building the next thus
+//! recycles pages instead of returning thousands of small blocks to the
+//! system allocator. The list only ever holds pages that were resident,
+//! so it never exceeds the process's peak resident page count.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+use parking_lot::Mutex;
 
 use crate::config::{Domain, PAGE_SIZE};
 
@@ -94,18 +113,56 @@ impl fmt::Display for OutOfMemory {
 
 impl std::error::Error for OutOfMemory {}
 
-/// One memory domain: a byte arena plus a first-fit allocator.
+/// Page size as a `usize`: the page table's granule.
+const PAGE: usize = PAGE_SIZE as usize;
+
+/// One materialized page of simulated memory.
+type Page = Box<[u8; PAGE]>;
+
+/// Pages released by [`Memory::free`] and by dropped memories, kept dirty
+/// and zeroed when taken (see the module docs).
+static SPARE_PAGES: Mutex<Vec<Page>> = Mutex::new(Vec::new());
+
+/// A zeroed page: a recycled spare if there is one, else a fresh one.
+fn take_page() -> Page {
+    let spare = SPARE_PAGES.lock().pop();
+    match spare {
+        Some(mut page) => {
+            page.fill(0);
+            page
+        }
+        None => vec![0u8; PAGE]
+            .into_boxed_slice()
+            .try_into()
+            .expect("page-sized slice"),
+    }
+}
+
+/// Split the address range `[addr, addr + len)` at page boundaries into
+/// `(page index, offset in page, offset in range, length)` pieces.
+fn page_pieces(addr: u64, len: usize) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+    let addr = addr as usize;
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        (done < len).then(|| {
+            let at = addr + done;
+            let (page, off) = (at / PAGE, at % PAGE);
+            let n = (PAGE - off).min(len - done);
+            done += n;
+            (page, off, done - n, n)
+        })
+    })
+}
+
+/// One memory domain: a sparse page table plus a first-fit allocator.
 pub struct Memory {
     mem: MemRef,
     capacity: u64,
     used: u64,
-    /// Arena backing store, grown lazily.
-    bytes: Vec<u8>,
-    /// Highest allocation end ever handed out. Space above this line has
-    /// never been allocated, so it still reads as fresh (lazy) zeros and
-    /// must not be scrubbed — scrubbing would fault in pages the
-    /// simulated software never touches.
-    high_water: u64,
+    /// Sparse backing store: entry `i` holds addresses
+    /// `[i * PAGE_SIZE, (i + 1) * PAGE_SIZE)`. `None` reads as zeros. The
+    /// table reaches only as far as the highest page ever written.
+    pages: Vec<Option<Page>>,
     /// Free list: base -> len, coalesced on free.
     free: BTreeMap<u64, u64>,
     /// Live allocations: base -> len (double-free / bad-free detection).
@@ -120,8 +177,7 @@ impl Memory {
             mem,
             capacity,
             used: 0,
-            bytes: Vec::new(),
-            high_water: 0,
+            pages: Vec::new(),
             free,
             live: BTreeMap::new(),
         }
@@ -138,6 +194,13 @@ impl Memory {
     /// Bytes currently allocated.
     pub fn used(&self) -> u64 {
         self.used
+    }
+
+    /// Host memory backing this domain: materialized pages times
+    /// [`PAGE_SIZE`]. Unlike [`Memory::used`], allocated but never written
+    /// bytes do not count.
+    pub fn resident_bytes(&self) -> u64 {
+        self.pages.iter().filter(|p| p.is_some()).count() as u64 * PAGE_SIZE
     }
 
     /// Allocate `len` bytes aligned to `align` (power of two). First-fit.
@@ -173,23 +236,18 @@ impl Memory {
         }
         self.live.insert(aligned, len);
         self.used += len;
-        // Grow backing store to cover the allocation, and zero the range:
-        // freshly mapped pages read as zero (kernel semantics), including
-        // recycled arena space.
-        let need = end as usize;
-        if self.bytes.len() < need {
-            self.grow_arena(need);
+        // Recycled space must read as zero like fresh pages do. `free`
+        // released the whole pages of the block, so only pages shared with
+        // a neighbour, or written after their free (a late DMA), are still
+        // resident here; scrub those.
+        let resident_end = end.min((self.pages.len() * PAGE) as u64);
+        if aligned < resident_end {
+            for (p, off, _, n) in page_pieces(aligned, (resident_end - aligned) as usize) {
+                if let Some(page) = &mut self.pages[p] {
+                    page[off..off + n].fill(0);
+                }
+            }
         }
-        // Fresh arena space — above the allocation high-water mark — is
-        // still (lazily) zero; explicitly zeroing it would fault in every
-        // page of e.g. a ring buffer whose slots are mostly never
-        // touched. Only recycled space needs scrubbing so that a reused
-        // region reads as zero like fresh pages do.
-        let scrub_end = end.min(self.high_water);
-        if aligned < scrub_end {
-            self.bytes[aligned as usize..scrub_end as usize].fill(0);
-        }
-        self.high_water = self.high_water.max(end);
         Ok(Buffer {
             mem: self.mem,
             addr: aligned,
@@ -200,26 +258,6 @@ impl Memory {
     /// Allocate page-aligned.
     pub fn alloc_pages(&mut self, len: u64) -> Result<Buffer, OutOfMemory> {
         self.alloc(len, PAGE_SIZE)
-    }
-
-    /// Grow the backing arena to at least `need` bytes.
-    ///
-    /// Deliberately NOT `Vec::resize`: a resize both memsets the new
-    /// tail (faulting in every page even if the simulated software
-    /// never touches it) and, on reallocation, copies the whole arena.
-    /// Instead allocate a fresh zeroed buffer — `alloc_zeroed` maps
-    /// demand-zero pages that are only faulted in on first real use —
-    /// and copy just the live prefix. Growth is geometric with a floor,
-    /// so a warming-up arena reallocates O(log n) times.
-    fn grow_arena(&mut self, need: usize) {
-        const ARENA_FLOOR: usize = 4 << 20;
-        let target = need
-            .max(self.bytes.capacity() * 2)
-            .max(ARENA_FLOOR.min(self.capacity as usize))
-            .max(1);
-        let mut fresh = vec![0u8; target];
-        fresh[..self.bytes.len()].copy_from_slice(&self.bytes);
-        self.bytes = fresh;
     }
 
     /// Free an allocation by its buffer. Panics on double free or on a
@@ -250,6 +288,16 @@ impl Memory {
             }
         }
         self.free.insert(base, blk_len);
+        // Release the pages of the freed range that now lie wholly inside
+        // the free block: nothing live is left on them.
+        let first = base.div_ceil(PAGE_SIZE).max(buf.addr / PAGE_SIZE) as usize;
+        let last = ((base + blk_len) / PAGE_SIZE).min((buf.addr + len).div_ceil(PAGE_SIZE));
+        let last = (last as usize).min(self.pages.len());
+        if first < last {
+            SPARE_PAGES
+                .lock()
+                .extend(self.pages[first..last].iter_mut().filter_map(Option::take));
+        }
     }
 
     fn check_range(&self, buf: &Buffer, offset: u64, len: usize) {
@@ -260,37 +308,52 @@ impl Memory {
         );
     }
 
-    /// Write bytes into a buffer.
+    /// Write bytes into a buffer, materializing the pages it touches.
     pub fn write(&mut self, buf: &Buffer, offset: u64, data: &[u8]) {
         assert_eq!(buf.mem, self.mem);
         self.check_range(buf, offset, data.len());
-        let start = (buf.addr + offset) as usize;
-        if self.bytes.len() < start + data.len() {
-            self.bytes.resize(start + data.len(), 0);
+        for (p, off, at, n) in page_pieces(buf.addr + offset, data.len()) {
+            if self.pages.len() <= p {
+                self.pages.resize_with(p + 1, || None);
+            }
+            let page = self.pages[p].get_or_insert_with(take_page);
+            page[off..off + n].copy_from_slice(&data[at..at + n]);
         }
-        self.bytes[start..start + data.len()].copy_from_slice(data);
     }
 
-    /// Read bytes out of a buffer.
+    /// Read bytes out of a buffer. Never-written pages read as zero.
     pub fn read(&self, buf: &Buffer, offset: u64, out: &mut [u8]) {
         assert_eq!(buf.mem, self.mem);
         self.check_range(buf, offset, out.len());
-        let start = (buf.addr + offset) as usize;
-        if self.bytes.len() >= start + out.len() {
-            out.copy_from_slice(&self.bytes[start..start + out.len()]);
-        } else {
-            // Lazily-grown arena: untouched memory reads as zero.
-            let have = self.bytes.len().saturating_sub(start);
-            out[..have].copy_from_slice(&self.bytes[start..start + have]);
-            out[have..].fill(0);
+        for (p, off, at, n) in page_pieces(buf.addr + offset, out.len()) {
+            let dst = &mut out[at..at + n];
+            match self.pages.get(p) {
+                Some(Some(page)) => dst.copy_from_slice(&page[off..off + n]),
+                _ => dst.fill(0),
+            }
         }
     }
 
-    /// Read a buffer fully into a fresh Vec.
+    /// Read a buffer fully into a fresh Vec. Built page by page rather
+    /// than zero-filled and then overwritten: DMA reads whole multi-MiB
+    /// buffers this way, and the redundant zeroing was a measurable share
+    /// of the ping-pong sweep.
     pub fn read_vec(&self, buf: &Buffer) -> Vec<u8> {
-        let mut v = vec![0u8; buf.len as usize];
-        self.read(buf, 0, &mut v);
+        let mut v = Vec::with_capacity(buf.len as usize);
+        for (p, off, _, n) in page_pieces(buf.addr, buf.len as usize) {
+            match self.pages.get(p) {
+                Some(Some(page)) => v.extend_from_slice(&page[off..off + n]),
+                _ => v.resize(v.len() + n, 0),
+            }
+        }
         v
+    }
+}
+
+impl Drop for Memory {
+    /// Hand every resident page to the spare list for the next memory.
+    fn drop(&mut self) {
+        SPARE_PAGES.lock().extend(self.pages.drain(..).flatten());
     }
 }
 
@@ -392,6 +455,36 @@ mod tests {
         let mut out = [1u8; 16];
         m.read(&a, 64, &mut out);
         assert_eq!(out, [0u8; 16]);
+    }
+
+    #[test]
+    fn only_written_pages_are_resident() {
+        let mut m = mem();
+        let pool = m.alloc_pages(64 * PAGE_SIZE).unwrap();
+        // Capacity is charged in full (no demand paging on the Phi); host
+        // memory is not.
+        assert_eq!(m.used(), 64 * PAGE_SIZE);
+        assert_eq!(m.resident_bytes(), 0);
+        // A write straddling one page boundary materializes two pages.
+        m.write(&pool, 3 * PAGE_SIZE - 2, &[7; 4]);
+        assert_eq!(m.resident_bytes(), 2 * PAGE_SIZE);
+        let mut out = [0u8; 6];
+        m.read(&pool, 3 * PAGE_SIZE - 3, &mut out);
+        assert_eq!(out, [0, 7, 7, 7, 7, 0]);
+        m.free(&pool);
+        assert_eq!(m.resident_bytes(), 0);
+    }
+
+    #[test]
+    fn free_keeps_pages_a_live_neighbour_shares() {
+        let mut m = mem();
+        let a = m.alloc(100, 1).unwrap();
+        let b = m.alloc(100, 1).unwrap();
+        m.write(&a, 0, &[1; 100]);
+        m.write(&b, 0, &[2; 100]);
+        m.free(&a);
+        assert_eq!(m.resident_bytes(), PAGE_SIZE);
+        assert_eq!(m.read_vec(&b), vec![2; 100]);
     }
 
     #[test]
