@@ -687,9 +687,10 @@ pub struct Outcome {
     pub dropped: u64,
     /// Protocol-auditor verdict over `events`.
     pub audit: Result<dcfa_mpi::AuditReport, Vec<String>>,
-    /// Latency histograms recorded by every rank (see
-    /// [`dcfa_mpi::MetricsHub`]); drained by [`metrics_report_json`].
-    /// Empty for the halo soak without kills.
+    /// Latency histograms: the synchronous phases recorded live by every
+    /// rank (see [`dcfa_mpi::MetricsHub`]) plus the asynchronous ones
+    /// folded from `events` ([`stitch::phase_samples`]); drained by
+    /// [`metrics_report_json`]. Empty for the halo soak without kills.
     pub metrics: dcfa_mpi::MetricsHub,
     /// Failure-plane counters, present only when kills were armed.
     /// Serialized as the additive `failures` section of the metrics report.
@@ -1012,8 +1013,9 @@ pub fn run(sc: &Scenario) -> Outcome {
         Default::default()
     };
     // Latency metrics feed the metrics report of the profile, the mixed
-    // runs and the kill soak; the plain halo soak has no report and skips
-    // the per-operation span bookkeeping at scale.
+    // runs and the kill soak; the plain halo soak has no report, so it
+    // neither times the synchronous sections nor folds the lifecycle
+    // stream into phase latencies after the run.
     let profiled = sc.workload != Workload::Halo || kills_armed;
     let opts = dcfa_mpi::LaunchOpts {
         tracer: Some(tracer.clone()),
@@ -1088,6 +1090,11 @@ pub fn run(sc: &Scenario) -> Outcome {
     };
     let wall_ns = wall_start.elapsed().as_nanos() as u64;
     let events = tracer.snapshot();
+    if profiled {
+        for (key, ns) in stitch::phase_samples(&events) {
+            metrics.record_key(key, ns);
+        }
+    }
     let outs: Vec<Option<RankOut>> = outs.lock().clone();
     let mut killed: Vec<usize> = sc.kills.iter().map(|k| k.rank).collect();
     killed.sort_unstable();

@@ -1,8 +1,9 @@
 //! Post-run message stitcher: joins the per-rank lifecycle streams of a
 //! traced run ([`dcfa_mpi::TraceEvent::MsgLife`]) into per-message causal
-//! timelines in virtual time, extracts the soak's critical path with a
-//! per-edge-kind breakdown, and exports the run as Chrome/Perfetto
-//! trace-event JSON (`repro --trace-out`).
+//! timelines in virtual time, derives the asynchronous protocol-phase
+//! latencies from them ([`phase_samples`]), extracts the soak's critical
+//! path with a per-edge-kind breakdown, and exports the run as
+//! Chrome/Perfetto trace-event JSON (`repro --trace-out`).
 //!
 //! # Determinism
 //!
@@ -21,7 +22,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use dcfa_mpi::{MsgStage, TraceEvent};
+use dcfa_mpi::metrics::size_class;
+use dcfa_mpi::{MetricKey, MsgStage, Phase, TraceEvent};
 
 use crate::json::{self, JsonValue};
 
@@ -80,7 +82,12 @@ pub struct MsgTimeline {
     pub id: MsgId,
     /// Payload length (max over the message's events; 0 if never seen).
     pub len: u64,
+    /// The causal chain: every event but `failed`.
     pub events: Vec<LifeEvent>,
+    /// `failed` events (sender and/or receiver side). A failure ends a
+    /// request; it causes nothing, so it is kept off the chain and never
+    /// opens an edge.
+    pub failed: Vec<LifeEvent>,
     /// The timeline starts at `post` and reaches at least one
     /// `complete` — its end-to-end time is fully accounted for.
     pub complete: bool,
@@ -178,10 +185,16 @@ pub fn stitch(events: &[TraceEvent], dropped: u64) -> Stitch {
                 id: (src, dst, seq),
                 len: 0,
                 events: Vec::new(),
+                failed: Vec::new(),
                 complete: false,
             });
             m.len = m.len.max(len);
-            m.events.push(LifeEvent { at, stage, t });
+            let e = LifeEvent { at, stage, t };
+            if stage == MsgStage::Failed {
+                m.failed.push(e);
+            } else {
+                m.events.push(e);
+            }
         }
     }
     let mut warnings = Vec::new();
@@ -214,6 +227,89 @@ pub fn stitch(events: &[TraceEvent], dropped: u64) -> Stitch {
     }
 }
 
+/// Derive the asynchronous protocol phases from the lifecycle stream:
+/// one `(key, virtual ns)` sample per closed interval, keyed by (phase,
+/// size class of the start event's length, the other endpoint). Each
+/// end is the first occurrence of its stage.
+///
+/// | Phase       | Start                                 | End                           |
+/// |-------------|---------------------------------------|-------------------------------|
+/// | `Eager`     | sender `post`                         | sender `complete`/`failed`    |
+/// | `RtsWait`   | sender `offload_sync`/`mr_acquire`    | sender `complete`/`failed`    |
+/// | `RndvWrite` | as `RtsWait`, once the sender logs `rdma_start` | sender `rdma_done`/`failed` |
+/// | `RndvRead`  | receiver `mr_acquire`                 | receiver `rdma_done`/`failed` |
+///
+/// An interval that never closed (its rank was killed) yields no sample.
+/// The synchronous phases are timed live by the engine, not derived.
+pub fn phase_samples(events: &[TraceEvent]) -> Vec<(MetricKey, u64)> {
+    use MsgStage::*;
+    /// One side's interval of one message; closed once `end` is set.
+    struct Interval {
+        phase: Phase,
+        start: u64,
+        len: u64,
+        end: Option<u64>,
+    }
+    // Keyed by (message, recorded at its sender?).
+    let mut intervals: BTreeMap<(MsgId, bool), Interval> = BTreeMap::new();
+    for ev in events {
+        let TraceEvent::MsgLife {
+            at,
+            src,
+            dst,
+            seq,
+            stage,
+            t,
+            len,
+        } = *ev
+        else {
+            continue;
+        };
+        let sender = at == src;
+        let key = ((src, dst, seq), sender);
+        let phase = match (stage, sender) {
+            (Post, true) => Phase::Eager,
+            (OffloadSync | MrAcquire, true) => Phase::RtsWait,
+            (MrAcquire, false) => Phase::RndvRead,
+            _ => {
+                let Some(iv) = intervals.get_mut(&key) else {
+                    continue;
+                };
+                match (stage, sender, iv.phase) {
+                    // Even when already closed: a write whose post failed
+                    // synchronously logs `failed` before `rdma_start`.
+                    (RdmaStart, true, Phase::RtsWait) => iv.phase = Phase::RndvWrite,
+                    (RdmaDone, true, Phase::RndvWrite)
+                    | (Complete | Failed, true, _)
+                    | (RdmaDone | Failed, false, _) => {
+                        iv.end.get_or_insert(t);
+                    }
+                    _ => {}
+                }
+                continue;
+            }
+        };
+        let iv = Interval {
+            phase,
+            start: t,
+            len,
+            end: None,
+        };
+        intervals.insert(key, iv);
+    }
+    intervals
+        .into_iter()
+        .filter_map(|(((src, dst, _), sender), iv)| {
+            let key = MetricKey {
+                phase: iv.phase,
+                size_class: size_class(iv.len),
+                peer: Some(if sender { dst } else { src }),
+            };
+            iv.end.map(|end| (key, end - iv.start))
+        })
+        .collect()
+}
+
 /// The soak's critical path: the heaviest causal chain ending at the
 /// last lifecycle event of the run, with its time split by edge kind.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -238,7 +334,9 @@ impl CriticalPath {
 }
 
 /// Extract the run's critical path from a recorded event stream, or
-/// `None` when it carries no lifecycle events.
+/// `None` when it carries no lifecycle events. `failed` events are
+/// skipped, as in the stitched timelines: a failure ends a request but
+/// causes no later event.
 ///
 /// The walk starts at the latest lifecycle event and repeatedly steps to
 /// the *later* of (previous event of the same message, previous event on
@@ -268,6 +366,9 @@ pub fn critical_path(events: &[TraceEvent]) -> Option<CriticalPath> {
             ..
         } = *ev
         {
+            if stage == MsgStage::Failed {
+                continue;
+            }
             let id = (src, dst, seq);
             let idx = nodes.len();
             nodes.push(Node {
@@ -358,6 +459,14 @@ pub fn trace_json(events: &[TraceEvent]) -> String {
                 &mut recs,
                 first.t,
                 slice(first.at, first.t, 0, first.stage.name(), "local", &label),
+            );
+        }
+        for f in &m.failed {
+            ranks.insert(f.at);
+            push(
+                &mut recs,
+                f.t,
+                slice(f.at, f.t, 0, f.stage.name(), "local", &label),
             );
         }
         for w in m.events.windows(2) {
@@ -561,7 +670,7 @@ pub fn explain_msg(events: &[TraceEvent], src: usize, seq: u64) -> String {
             m.id.1,
             m.id.2,
             m.len,
-            m.events.len(),
+            m.events.len() + m.failed.len(),
             if m.complete { "complete" } else { "INCOMPLETE" },
             span as f64 / 1e3
         );
@@ -583,6 +692,9 @@ pub fn explain_msg(events: &[TraceEvent], src: usize, seq: u64) -> String {
                 }
             }
             prev = Some(*e);
+        }
+        for f in &m.failed {
+            let _ = writeln!(out, "  t={:<12} rank {:<4} {}", f.t, f.at, f.stage.name());
         }
         if m.complete {
             let _ = writeln!(out, "  breakdown:");
@@ -710,6 +822,106 @@ mod tests {
         assert!(cp.kind_ns("wire") >= 1000, "a wire hop is on the path");
         // Bit-for-bit determinism over the same stream.
         assert_eq!(critical_path(&evs), Some(cp));
+    }
+
+    #[test]
+    fn phase_samples_fold_the_lifecycle_intervals() {
+        use MsgStage::*;
+        let ev = |at, src, dst, seq, stage, t, len| TraceEvent::MsgLife {
+            at,
+            src,
+            dst,
+            seq,
+            stage,
+            t,
+            len,
+        };
+        let evs = vec![
+            // Eager 0 -> 1: post to the sender's complete.
+            ev(0, 0, 1, 0, Post, 100, 256),
+            ev(0, 0, 1, 0, Doorbell, 300, 256),
+            ev(1, 0, 1, 0, Wire, 1200, 256),
+            ev(1, 0, 1, 0, Complete, 1300, 256),
+            ev(0, 0, 1, 0, Complete, 1500, 256),
+            // Sender-first rendezvous 0 -> 1: RtsWait from the sender's
+            // source staging, RndvRead from the receiver's mr_acquire
+            // (not its later rdma_start).
+            ev(0, 0, 1, 1, Post, 2000, 65536),
+            ev(0, 0, 1, 1, MrAcquire, 2100, 65536),
+            ev(1, 0, 1, 1, MrAcquire, 3000, 65536),
+            ev(1, 0, 1, 1, RdmaStart, 4550, 65536),
+            ev(1, 0, 1, 1, RdmaDone, 9000, 65536),
+            ev(1, 0, 1, 1, Complete, 9100, 65536),
+            ev(0, 0, 1, 1, Complete, 9500, 65536),
+            // Receiver-first rendezvous 1 -> 0: RndvWrite ends at the
+            // sender's rdma_done, not its complete.
+            ev(1, 1, 0, 0, Post, 10000, 65536),
+            ev(1, 1, 0, 0, OffloadSync, 11000, 65536),
+            ev(1, 1, 0, 0, RdmaStart, 11500, 65536),
+            ev(1, 1, 0, 0, RdmaDone, 15000, 65536),
+            ev(1, 1, 0, 0, Complete, 15100, 65536),
+            // A failed eager send closes at the failure.
+            ev(0, 0, 1, 2, Post, 20000, 64),
+            ev(0, 0, 1, 2, Failed, 20300, 64),
+            // A receiver whose read failed; the killed sender never
+            // resolves, so its RtsWait yields no sample.
+            ev(2, 2, 0, 0, Post, 29000, 4096),
+            ev(2, 2, 0, 0, MrAcquire, 29100, 4096),
+            ev(0, 2, 0, 0, MrAcquire, 30000, 4096),
+            ev(0, 2, 0, 0, Failed, 30500, 4096),
+            // A write whose post failed synchronously: the failure is
+            // logged before its rdma_start and still closes RndvWrite.
+            ev(1, 1, 0, 1, Post, 40000, 16384),
+            ev(1, 1, 0, 1, MrAcquire, 40050, 16384),
+            ev(1, 1, 0, 1, Failed, 40100, 16384),
+            ev(1, 1, 0, 1, RdmaStart, 41650, 16384),
+        ];
+        let key = |phase, size_class, peer| MetricKey {
+            phase,
+            size_class,
+            peer: Some(peer),
+        };
+        let mut got = phase_samples(&evs);
+        got.sort();
+        let mut want = vec![
+            (key(Phase::Eager, 8, 1), 1400),
+            (key(Phase::RtsWait, 16, 1), 7400),
+            (key(Phase::RndvRead, 16, 0), 6000),
+            (key(Phase::RndvWrite, 16, 0), 4000),
+            (key(Phase::Eager, 6, 1), 300),
+            (key(Phase::RndvRead, 12, 2), 500),
+            (key(Phase::RndvWrite, 14, 0), 50),
+        ];
+        want.sort();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn failed_events_stay_off_the_causal_chain() {
+        let by_time = |evs: &mut Vec<TraceEvent>| {
+            evs.sort_by_key(|e| match e {
+                TraceEvent::MsgLife { t, .. } => *t,
+                _ => 0,
+            })
+        };
+        let mut evs = eager_msg(0, 1, 0, 0);
+        let mut failing = eager_msg(1, 2, 0, 700);
+        failing.truncate(4); // sender side and the wire arrival
+        evs.extend(failing);
+        by_time(&mut evs);
+        let cp = critical_path(&evs);
+        let st = stitch(&evs, 0);
+        // The sender fails before the receiver's late wire event, which
+        // ends the run.
+        evs.push(life(1, 1, 2, 0, MsgStage::Failed, 1000));
+        by_time(&mut evs);
+        assert_eq!(critical_path(&evs), cp, "failed nodes are skipped");
+        let with_failed = stitch(&evs, 0);
+        let m = &with_failed.messages[1];
+        assert_eq!(m.failed.len(), 1);
+        assert_eq!(m.events, st.messages[1].events, "chain unchanged");
+        assert_eq!(m.end(), st.messages[1].end());
+        assert!(explain_msg(&evs, 1, 0).contains("rank 1    failed"));
     }
 
     #[test]

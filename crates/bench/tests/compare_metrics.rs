@@ -4,10 +4,14 @@
 //! evade the p99 drift check entirely), when a new phase appears that the
 //! baseline does not know, and when wall-clock throughput falls below a
 //! baseline floor. Exit codes are observed on the real binary via
-//! `CARGO_BIN_EXE_repro`.
+//! `CARGO_BIN_EXE_repro`. A fresh report must also reproduce the
+//! committed baseline exactly, outside its machine-dependent sections.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::process::Command;
+
+use bench::json::JsonValue;
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -19,9 +23,10 @@ fn tmp(name: &str) -> PathBuf {
     p
 }
 
-/// Run the profiled workload once and return its serialized report.
-fn current_report() -> String {
-    let path = tmp("current.json");
+/// Run the profiled workload once and return its serialized report
+/// (`label` keeps concurrent tests off each other's temp file).
+fn current_report(label: &str) -> String {
+    let path = tmp(label);
     let out = repro()
         .args(["--metrics-json", path.to_str().unwrap()])
         .output()
@@ -57,7 +62,7 @@ fn compare_exit(baseline: &str, label: &str) -> (i32, String) {
 
 #[test]
 fn phase_mismatches_and_floors_gate_the_exit_code() {
-    let report = current_report();
+    let report = current_report("current.json");
 
     // Sanity: the run is virtually deterministic, so comparing a fresh
     // run against its own report passes.
@@ -115,4 +120,39 @@ fn phase_mismatches_and_floors_gate_the_exit_code() {
     );
     let (code, text) = compare_exit(&low_floor, "floor-low.json");
     assert_eq!(code, 0, "trivial floor must pass:\n{text}");
+}
+
+/// Sections of a parsed report, minus the machine-dependent ones: `wall`
+/// (real time) and the hand-set `throughput_floor`.
+fn virtual_sections(report: &str) -> BTreeMap<String, JsonValue> {
+    let Ok(JsonValue::Obj(mut sections)) = bench::json::parse(report) else {
+        panic!("report is not a JSON object");
+    };
+    sections.remove("wall");
+    sections.remove("throughput_floor");
+    sections
+}
+
+/// CI's drift gate tolerates 25%; this test tolerates nothing. The
+/// profiled run is virtual-time deterministic, so a fresh report must
+/// reproduce the committed baseline exactly in every section — phases,
+/// histograms, counters and critical path alike.
+#[test]
+fn fresh_report_reproduces_the_baseline_exactly() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/baseline_metrics.json"
+    );
+    let baseline = std::fs::read_to_string(path).expect("committed baseline");
+    let want = virtual_sections(&baseline);
+    let got = virtual_sections(&current_report("fresh.json"));
+    let keys: BTreeSet<&String> = want.keys().chain(got.keys()).collect();
+    let differing: Vec<&String> = keys
+        .into_iter()
+        .filter(|k| want.get(*k) != got.get(*k))
+        .collect();
+    assert!(
+        differing.is_empty(),
+        "sections differ from results/baseline_metrics.json: {differing:?}"
+    );
 }

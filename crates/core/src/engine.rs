@@ -35,7 +35,7 @@ use verbs::{
 
 use crate::config::{MpiConfig, Placement};
 use crate::connect::{ConnDirectory, ConnMsg};
-use crate::metrics::{Metrics, MetricsHub, Phase, Span};
+use crate::metrics::{Metrics, MetricsHub, Phase};
 use crate::mrcache::{MrCache, MrLease, OffloadCache, OffloadLease};
 use crate::packet::{
     tail_seq, tail_word, PacketHeader, PacketKind, HEADER_BYTES, HEADER_LEN, SLOT_OVERHEAD,
@@ -225,6 +225,7 @@ enum SendLease {
 enum ReqState {
     /// Eager RDMA write in flight; completes on local WC.
     EagerSend {
+        seq: u64,
         status: Status,
     },
     /// RTS sent; waiting for the receiver's DONE. The lease pins the
@@ -399,10 +400,6 @@ pub struct Engine {
     stats_cell: Arc<StatsCell>,
     trace: Trace,
     metrics: Metrics,
-    /// Open latency spans, slot-indexed in step with `reqs` (the stored
-    /// full id disambiguates slot reuse): one asynchronous protocol stage
-    /// per request, closed when the request resolves.
-    open_spans: Vec<Option<(u64, Span)>>,
     /// Re-entrancy guard: progress() invoked from within progress() (via
     /// a packet handler) is a no-op; the outer sweep picks up the work.
     in_progress: bool,
@@ -575,7 +572,6 @@ impl Engine {
             stats_cell: Arc::new(StatsCell::new()),
             trace: Trace::default(),
             metrics: Metrics::default(),
-            open_spans: Vec::new(),
             in_progress: false,
             inflight: SlotTable::with_capacity(64),
             retry_due: TimerHeap::new(),
@@ -945,8 +941,7 @@ impl Engine {
         self.stats.bytes_sent += len;
         if len <= self.cfg.eager_threshold {
             self.stats.eager_sends += 1;
-            let req = self.new_req(ReqState::EagerSend { status });
-            self.open_span(ctx, Phase::Eager, req, len, dst);
+            let req = self.new_req(ReqState::EagerSend { seq, status });
             let hdr = PacketHeader {
                 kind: PacketKind::Eager,
                 src_rank: self.rank,
@@ -990,7 +985,6 @@ impl Engine {
                 status,
                 lease,
             });
-            self.open_span(ctx, Phase::RndvWrite, req, len, dst);
             self.rndv_write(ctx, dst, req, src_addr, src_rkey, len, &rtr);
             return Ok(Request(req));
         }
@@ -1012,7 +1006,6 @@ impl Engine {
             lease,
             hdr,
         });
-        self.open_span(ctx, Phase::RtsWait, req, len, dst);
         self.send_ctrl(ctx, dst, hdr);
         self.arm_rndv_timeout(ctx, TimeoutKind::Rts { req });
         Ok(Request(req))
@@ -1304,8 +1297,8 @@ impl Engine {
     }
 
     /// Attach this engine (and its caches) to a shared metrics hub.
-    /// Latency recording — histograms and phase spans — is a no-op until
-    /// this is called.
+    /// Live latency recording of the synchronous sections is a no-op
+    /// until this is called.
     pub fn set_metrics(&mut self, hub: MetricsHub) {
         self.metrics.attach(hub);
         self.mr_cache.set_metrics(self.metrics.clone());
@@ -1457,7 +1450,7 @@ impl Engine {
             .iter()
             .filter_map(|(id, st)| {
                 let hit = match st {
-                    ReqState::EagerSend { status } => status.source == d,
+                    ReqState::EagerSend { status, .. } => status.source == d,
                     ReqState::RndvSendAwaitDone { dst, .. }
                     | ReqState::RndvSendWriting { dst, .. } => *dst == d,
                     ReqState::RndvRecvReading { src, .. } => *src == d,
@@ -1467,11 +1460,7 @@ impl Engine {
             })
             .collect();
         for id in dead_reqs {
-            self.close_span(ctx, id);
-            match self
-                .reqs
-                .replace(id, ReqState::Failed(MpiError::PeerFailed(d)))
-            {
+            match self.fail_req(ctx, id, MpiError::PeerFailed(d)) {
                 Some(ReqState::RndvSendAwaitDone { lease, .. })
                 | Some(ReqState::RndvSendWriting { lease, .. }) => {
                     self.release_send_lease(ctx, lease);
@@ -1585,15 +1574,14 @@ impl Engine {
             .filter_map(|(id, st)| {
                 let live = match st {
                     ReqState::Done(_) | ReqState::Failed(_) => false,
-                    ReqState::EagerSend { status } => !is_shrink_tag(status.tag),
+                    ReqState::EagerSend { status, .. } => !is_shrink_tag(status.tag),
                     _ => !spared.contains(&id),
                 };
                 live.then_some(id)
             })
             .collect();
         for id in live {
-            self.close_span(ctx, id);
-            match self.reqs.replace(id, ReqState::Failed(MpiError::Revoked)) {
+            match self.fail_req(ctx, id, MpiError::Revoked) {
                 Some(ReqState::RndvSendAwaitDone { lease, .. })
                 | Some(ReqState::RndvSendWriting { lease, .. }) => {
                     self.release_send_lease(ctx, lease);
@@ -1709,43 +1697,32 @@ impl Engine {
                 self.mr_cache.release(ctx, &self.res, l);
             }
         }
-        self.close_span(ctx, req.0);
         self.reqs.remove(req.0);
     }
 
-    /// Open a latency span for request `id` and mirror it into the trace
-    /// stream (auditor invariant 6 pairs opens and closes).
-    fn open_span(&mut self, ctx: &Ctx, phase: Phase, id: u64, bytes: u64, peer: Rank) {
-        if let Some(span) = self
-            .metrics
-            .span_begin(phase, id, bytes, Some(peer), || ctx.now())
-        {
-            let slot = id as u32 as usize;
-            if self.open_spans.len() <= slot {
-                self.open_spans.resize(slot + 1, None);
-            }
-            self.open_spans[slot] = Some((id, span));
-            let rank = self.rank;
-            self.trace
-                .record(|| TraceEvent::SpanOpen { rank, id, phase });
-        }
-    }
-
-    /// Close request `id`'s span, attributing its lifetime to the phase
-    /// it opened under. No-op when no span is open (metrics detached).
-    fn close_span(&mut self, ctx: &Ctx, id: u64) {
-        let slot = id as u32 as usize;
-        match self.open_spans.get(slot) {
-            Some(Some((owner, _))) if *owner == id => {}
-            _ => return,
-        }
-        if let Some(Some((_, span))) = self.open_spans.get_mut(slot).map(|s| s.take()) {
-            let phase = span.phase;
-            self.metrics.span_end(span, || ctx.now());
-            let rank = self.rank;
-            self.trace
-                .record(|| TraceEvent::SpanClose { rank, id, phase });
-        }
+    /// Fail request `id` with `err`. A request that was carrying a
+    /// message ends that message's lifecycle with a `Failed` stage, so
+    /// every posted message reaches a terminal (auditor invariant 6) and
+    /// its phase interval closes. Returns the replaced state so the
+    /// caller can release its leases.
+    fn fail_req(&mut self, ctx: &Ctx, id: u64, err: MpiError) -> Option<ReqState> {
+        use ReqState::*;
+        let old = self.reqs.replace(id, Failed(err));
+        let (src, dst, seq, len) = match &old {
+            Some(EagerSend { seq, status }) => (self.rank, status.source, *seq, status.len),
+            Some(RndvSendAwaitDone {
+                dst, seq, status, ..
+            })
+            | Some(RndvSendWriting {
+                dst, seq, status, ..
+            }) => (self.rank, *dst, *seq, status.len),
+            Some(RndvRecvReading {
+                src, seq, status, ..
+            }) => (*src, self.rank, *seq, status.len),
+            _ => return old,
+        };
+        self.msg_life(ctx, src, dst, seq, MsgStage::Failed, len);
+        old
     }
 
     /// Host twin of a Phi buffer (creating/caching it on first use), for
@@ -2134,9 +2111,7 @@ impl Engine {
                 .is_some_and(|b| b.state(dst) == PeerState::Dead)
             {
                 if let Some(id) = owner {
-                    self.close_span(ctx, id);
-                    self.reqs
-                        .replace(id, ReqState::Failed(MpiError::PeerFailed(dst)));
+                    self.fail_req(ctx, id, MpiError::PeerFailed(dst));
                 }
                 return;
             }
@@ -2799,9 +2774,8 @@ impl Engine {
             WrKind::Ring { hdr, req, .. } => {
                 let Some(id) = req else { return };
                 match self.reqs.get(id) {
-                    Some(ReqState::EagerSend { status }) => {
+                    Some(ReqState::EagerSend { status, .. }) => {
                         let status = *status;
-                        self.close_span(ctx, id);
                         self.reqs.replace(id, ReqState::Done(status));
                         let (dst, seq, len) = (entry.dst, hdr.seq, hdr.len);
                         self.msg_life(ctx, self.rank, dst, seq, MsgStage::Complete, len);
@@ -2827,7 +2801,6 @@ impl Engine {
                     truncated,
                     lease,
                 }) => {
-                    self.close_span(ctx, req);
                     self.msg_life(ctx, src, self.rank, seq, MsgStage::RdmaDone, status.len);
                     self.mr_cache.release(ctx, &self.res, lease);
                     self.stats.bytes_received += status.len;
@@ -2874,7 +2847,6 @@ impl Engine {
                     }) => {
                         // Data placed; the source is free again. Tell the
                         // receiver.
-                        self.close_span(ctx, req);
                         self.msg_life(ctx, self.rank, dst, seq, MsgStage::RdmaDone, full_len);
                         self.release_send_lease(ctx, lease);
                         let hdr = PacketHeader::control(
@@ -2991,15 +2963,12 @@ impl Engine {
                         seq,
                     });
                     if let Some(id) = req {
-                        self.close_span(ctx, id);
-                        self.reqs.replace(
-                            id,
-                            ReqState::Failed(MpiError::Transport {
-                                status,
-                                op: TransportOp::EagerWrite,
-                                attempts,
-                            }),
-                        );
+                        let err = MpiError::Transport {
+                            status,
+                            op: TransportOp::EagerWrite,
+                            attempts,
+                        };
+                        self.fail_req(ctx, id, err);
                     }
                     if recover {
                         let nack = PacketHeader::control(
@@ -3030,15 +2999,14 @@ impl Engine {
                         _ => None,
                     });
                     if let Some(id) = owner {
-                        self.close_span(ctx, id);
-                        if let Some(ReqState::RndvSendAwaitDone { lease, .. }) = self.reqs.replace(
-                            id,
-                            ReqState::Failed(MpiError::Transport {
-                                status,
-                                op: TransportOp::CtrlWrite,
-                                attempts,
-                            }),
-                        ) {
+                        let err = MpiError::Transport {
+                            status,
+                            op: TransportOp::CtrlWrite,
+                            attempts,
+                        };
+                        if let Some(ReqState::RndvSendAwaitDone { lease, .. }) =
+                            self.fail_req(ctx, id, err)
+                        {
                             self.release_send_lease(ctx, lease);
                         }
                     }
@@ -3093,21 +3061,19 @@ impl Engine {
                 _ => self.stats.ctrl_abandoned += 1,
             },
             WrKind::RndvRead { req } => {
+                let err = MpiError::Transport {
+                    status,
+                    op: TransportOp::RndvRead,
+                    attempts,
+                };
                 if let Some(ReqState::RndvRecvReading {
                     src,
                     seq,
                     status: st,
                     lease,
                     ..
-                }) = self.reqs.replace(
-                    req,
-                    ReqState::Failed(MpiError::Transport {
-                        status,
-                        op: TransportOp::RndvRead,
-                        attempts,
-                    }),
-                ) {
-                    self.close_span(ctx, req);
+                }) = self.fail_req(ctx, req, err)
+                {
                     self.mr_cache.release(ctx, &self.res, lease);
                     self.trace.record(|| TraceEvent::TransportFail {
                         rank,
@@ -3125,21 +3091,19 @@ impl Engine {
                 }
             }
             WrKind::RndvWrite { req } => {
+                let err = MpiError::Transport {
+                    status,
+                    op: TransportOp::RndvWrite,
+                    attempts,
+                };
                 if let Some(ReqState::RndvSendWriting {
                     dst: d,
                     seq,
                     status: st,
                     lease,
                     ..
-                }) = self.reqs.replace(
-                    req,
-                    ReqState::Failed(MpiError::Transport {
-                        status,
-                        op: TransportOp::RndvWrite,
-                        attempts,
-                    }),
-                ) {
-                    self.close_span(ctx, req);
+                }) = self.fail_req(ctx, req, err)
+                {
                     self.release_send_lease(ctx, lease);
                     self.trace
                         .record(|| TraceEvent::TransportFail { rank, peer: d, seq });
@@ -3286,13 +3250,6 @@ impl Engine {
             ));
         }
         let rank = self.rank;
-        self.trace.record(|| TraceEvent::PacketRx {
-            at: rank,
-            from: p,
-            kind: hdr.kind,
-            seq: hdr.seq,
-            len: hdr.len,
-        });
         if let Some((src, dst)) = self.msg_id(hdr.kind, p, false) {
             self.msg_life(ctx, src, dst, hdr.seq, MsgStage::Wire, hdr.len);
         }
@@ -3494,7 +3451,6 @@ impl Engine {
                     if let Some(ReqState::RndvSendAwaitDone { status, lease, .. }) =
                         self.reqs.replace(id, ReqState::RecvAwaitDone)
                     {
-                        self.close_span(ctx, id);
                         self.release_send_lease(ctx, lease);
                         self.reqs.replace(id, ReqState::Done(status));
                         self.msg_life(ctx, rank, p, hdr.seq, MsgStage::Complete, hdr.len);
@@ -3584,14 +3540,13 @@ impl Engine {
                     _ => None,
                 });
                 if let Some(id) = sender_req {
-                    self.close_span(ctx, id);
-                    if let Some(ReqState::RndvSendAwaitDone { lease, .. }) = self.reqs.replace(
-                        id,
-                        ReqState::Failed(MpiError::RemoteTransport {
-                            peer: hdr.src_rank,
-                            seq: hdr.seq,
-                        }),
-                    ) {
+                    let err = MpiError::RemoteTransport {
+                        peer: hdr.src_rank,
+                        seq: hdr.seq,
+                    };
+                    if let Some(ReqState::RndvSendAwaitDone { lease, .. }) =
+                        self.fail_req(ctx, id, err)
+                    {
                         self.release_send_lease(ctx, lease);
                     }
                     self.note_watchdog_resolved();
@@ -3884,7 +3839,6 @@ impl Engine {
             },
         );
         let req = posted.req;
-        self.open_span(ctx, Phase::RndvRead, req, read_len, hdr.src_rank);
         let wr = SendWr::rdma_read(0, sge, hdr.addr, MrKey(hdr.rkey));
         self.post_tracked(ctx, hdr.src_rank, wr, WrKind::RndvRead { req });
         self.msg_life(

@@ -63,7 +63,7 @@ pub use comm::{Comm, Communicator, Persistent};
 pub use config::{MpiConfig, Placement};
 pub use connect::ConnDirectory;
 pub use engine::{CommStats, Engine, PeerEndpoint};
-pub use metrics::{HistogramSnapshot, MetricKey, Metrics, MetricsHub, Phase, Span};
+pub use metrics::{HistogramSnapshot, MetricKey, Metrics, MetricsHub, Phase};
 pub use mrcache::CacheStats;
 pub use packet::PacketKind;
 pub use resources::Resources;

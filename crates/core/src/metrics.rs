@@ -1,4 +1,4 @@
-//! Latency histograms and span-based phase profiling.
+//! Latency histograms and the protocol-phase taxonomy.
 //!
 //! The paper's central claims are latency claims — the Eager/Rendezvous
 //! crossover, the >4× Phi→HCA DMA-read penalty, the offload-send recovery —
@@ -9,10 +9,14 @@
 //!   touches only atomics (no locks, no allocation); snapshots are plain
 //!   values that merge across ranks and answer p50/p90/p99/max queries in
 //!   virtual-clock nanoseconds.
-//! * [`Span`] — attributes a message's lifetime to a [`Phase`]
-//!   (`EagerCopy`, `RtsWait`, `RndvRead`, …), keyed by (phase, size-class,
-//!   peer). Asynchronous protocol stages open a span when the stage starts
-//!   and close it when the matching completion resolves the request.
+//! * [`Phase`] and [`MetricKey`] — every sample is keyed by (phase,
+//!   size-class, peer). Synchronous sections (`EagerCopy`, `MrRegister`,
+//!   `OffloadSync`, `CtrlRoundtrip`, `Backoff`) are timed live around the
+//!   blocking call. The asynchronous phases (`Eager`, `RtsWait`,
+//!   `RndvRead`, `RndvWrite`) are intervals between message-lifecycle
+//!   stages ([`crate::trace::MsgStage`]); they are derived after the run
+//!   from the trace stream (`bench::stitch::phase_samples`) and recorded
+//!   into the same hub, so the engine keeps no per-request timing state.
 //! * [`MetricsHub`] — the shared registry a `World` hands to every rank's
 //!   engine; the exporter drains it into the versioned JSON report.
 //! * [`Metrics`] — the feature-gated per-engine handle, mirroring
@@ -44,15 +48,19 @@ pub const BUCKETS: usize = 64;
 /// version in `bench`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Phase {
-    /// Whole eager send: MPI call to remote-ring WRITE completion.
+    /// Whole eager send: sender `post` until its ring WRITE completes
+    /// (or the send fails).
     Eager,
     /// The one copy of an eager send: user buffer → staging slot.
     EagerCopy,
-    /// Sender-first rendezvous: RTS issued until DONE (or NACK) arrives.
+    /// Sender-first rendezvous: source staged (`offload_sync` or
+    /// `mr_acquire`) until DONE (or NACK) resolves the send.
     RtsWait,
-    /// Receiver-side RDMA READ of the source buffer (sender-first rndv).
+    /// Receiver-side RDMA READ of the source buffer (sender-first rndv):
+    /// receiver `mr_acquire` until `rdma_done` (or failure).
     RndvRead,
-    /// Sender-side RDMA WRITE into the receiver buffer (receiver-first).
+    /// Sender-side RDMA WRITE into the receiver buffer (receiver-first):
+    /// source staged until `rdma_done` (or failure).
     RndvWrite,
     /// Memory registration on an MR-cache miss (Phi-side: delegated).
     MrRegister,
@@ -319,45 +327,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// An open span: a protocol stage in flight. Carried in the engine's
-/// open-span side table until the matching completion (or failure)
-/// resolves the request — protocol stages are asynchronous, so RAII guards
-/// cannot model them.
-#[derive(Debug, Clone, Copy)]
-pub struct Span {
-    pub phase: Phase,
-    /// Message/request id the span is attributed to.
-    pub id: u64,
-    pub bytes: u64,
-    pub peer: Option<Rank>,
-    pub start: SimTime,
-}
-
-impl Span {
-    /// Open a span on `phase` at virtual time `start`.
-    pub fn begin(phase: Phase, id: u64, bytes: u64, peer: Option<Rank>, start: SimTime) -> Span {
-        Span {
-            phase,
-            id,
-            bytes,
-            peer,
-            start,
-        }
-    }
-
-    /// Close the span, yielding its (key, elapsed-ns) sample.
-    pub fn end(self, now: SimTime) -> (MetricKey, u64) {
-        (
-            MetricKey {
-                phase: self.phase,
-                size_class: size_class(self.bytes),
-                peer: self.peer,
-            },
-            now.since(self.start).as_nanos(),
-        )
-    }
-}
-
 #[derive(Debug, Default)]
 struct HubInner {
     hists: HashMap<MetricKey, Arc<Histogram>>,
@@ -511,43 +480,6 @@ impl Metrics {
         }
         #[cfg(not(feature = "trace"))]
         let _ = (phase, bytes, peer, ns);
-    }
-
-    /// Open a span for an asynchronous protocol stage. Returns `None`
-    /// when metrics are off; the caller stores the span in its open-span
-    /// table and must close it exactly once via [`Metrics::span_end`].
-    #[inline]
-    pub fn span_begin(
-        &self,
-        phase: Phase,
-        id: u64,
-        bytes: u64,
-        peer: Option<Rank>,
-        now: impl FnOnce() -> SimTime,
-    ) -> Option<Span> {
-        #[cfg(feature = "trace")]
-        {
-            self.hub
-                .as_ref()
-                .map(|_| Span::begin(phase, id, bytes, peer, now()))
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (phase, id, bytes, peer, now);
-            None
-        }
-    }
-
-    /// Close a span, recording its lifetime.
-    #[inline]
-    pub fn span_end(&self, span: Span, now: impl FnOnce() -> SimTime) {
-        #[cfg(feature = "trace")]
-        if let Some(hub) = &self.hub {
-            let (key, ns) = span.end(now());
-            hub.record_key(key, ns);
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = (span, now);
     }
 }
 
@@ -792,26 +724,13 @@ mod tests {
         assert_eq!(phases[1].1.count, 1);
     }
 
-    #[test]
-    fn span_end_attributes_elapsed_time() {
-        let span = Span::begin(Phase::RtsWait, 7, 65536, Some(3), SimTime(1_000));
-        let (key, ns) = span.end(SimTime(43_000));
-        assert_eq!(ns, 42_000);
-        assert_eq!(key.phase, Phase::RtsWait);
-        assert_eq!(key.size_class, 16);
-        assert_eq!(key.peer, Some(3));
-    }
-
     #[cfg(feature = "trace")]
     #[test]
     fn metrics_handle_gates_on_attachment() {
         let m = Metrics::default();
         assert!(!m.enabled());
-        // Unattached: closures never run, spans never open.
+        // Unattached: closures never run.
         assert_eq!(m.start(|| unreachable!()), None);
-        assert!(m
-            .span_begin(Phase::Eager, 1, 64, None, || unreachable!())
-            .is_none());
 
         let hub = MetricsHub::new();
         let mut m = Metrics::default();
@@ -819,15 +738,12 @@ mod tests {
         assert!(m.enabled());
         let t0 = m.start(|| SimTime(10));
         m.record_since(t0, || SimTime(25), Phase::EagerCopy, 512, Some(1));
-        let span = m
-            .span_begin(Phase::Eager, 9, 512, Some(1), || SimTime(10))
-            .expect("span opens when attached");
-        m.span_end(span, || SimTime(110));
+        m.record_ns(Phase::Backoff, 0, None, 100);
         let phases = hub.merged_by_phase();
         assert_eq!(phases.len(), 2);
-        assert_eq!(phases[0].0, Phase::Eager);
-        assert_eq!(phases[0].1.sum, 100);
-        assert_eq!(phases[1].0, Phase::EagerCopy);
-        assert_eq!(phases[1].1.sum, 15);
+        assert_eq!(phases[0].0, Phase::EagerCopy);
+        assert_eq!(phases[0].1.sum, 15);
+        assert_eq!(phases[1].0, Phase::Backoff);
+        assert_eq!(phases[1].1.sum, 100);
     }
 }

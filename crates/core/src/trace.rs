@@ -1,10 +1,10 @@
 //! Structured protocol tracing and the protocol auditor.
 //!
 //! Every rank's engine can record [`TraceEvent`]s into a shared,
-//! bounded [`TraceBuf`] ring: packet transmit/receive with kind,
-//! sequence id and peer (which covers the RTS/RTR/DONE rendezvous
-//! transitions), MR-cache register/pin/unpin/deregister/evict, credit
-//! grants and applications, offload-sync start/end, stale-RTR drops,
+//! bounded [`TraceBuf`] ring: packet transmits with kind, sequence id
+//! and peer (which covers the RTS/RTR/DONE rendezvous transitions),
+//! MR-cache register/pin/unpin/deregister/evict, credit grants and
+//! applications, offload-sync start/end, stale-RTR drops,
 //! and timestamped message-lifecycle edges ([`TraceEvent::MsgLife`])
 //! that let a post-run stitcher rebuild each message's cross-rank
 //! causal DAG. The simulation runs exactly one process thread at a
@@ -33,10 +33,12 @@
 //!    paired with a respawn of the same incarnation, and every client
 //!    re-attach replays its *entire* resource journal (`replayed ==
 //!    journaled` — no resource silently lost across a respawn);
-//! 6. every opened metrics span is closed exactly once before rank
-//!    finalize: a dangling or double-closed span is a leak in the
-//!    engine's phase accounting and fails the audit with the span's
-//!    phase and message id.
+//! 6. lifecycle completeness: every message `post`ed by a rank that
+//!    was not killed reaches exactly one sender-side terminal stage
+//!    ([`MsgStage::Complete`] or [`MsgStage::Failed`]). A message with
+//!    no terminal is a request the engine stranded; one with two was
+//!    resolved twice. The phase histograms are derived from these
+//!    intervals, so this is also what keeps them whole.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -44,7 +46,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::metrics::Phase;
 use crate::packet::PacketKind;
 use crate::types::Rank;
 
@@ -91,6 +92,9 @@ pub enum MsgStage {
     Nack,
     /// The message resolved at this rank (request done).
     Complete,
+    /// The message's request at this rank failed (transport error, NACK,
+    /// dead peer or revocation). Like `Complete`, a terminal stage.
+    Failed,
 }
 
 impl MsgStage {
@@ -113,6 +117,7 @@ impl MsgStage {
             MsgStage::Retry => "retry",
             MsgStage::Nack => "nack",
             MsgStage::Complete => "complete",
+            MsgStage::Failed => "failed",
         }
     }
 }
@@ -126,14 +131,6 @@ pub enum TraceEvent {
     PacketTx {
         from: Rank,
         to: Rank,
-        kind: PacketKind,
-        seq: u64,
-        len: u64,
-    },
-    /// A packet was consumed from `at`'s inbound ring.
-    PacketRx {
-        at: Rank,
-        from: Rank,
         kind: PacketKind,
         seq: u64,
         len: u64,
@@ -233,15 +230,11 @@ pub enum TraceEvent {
     /// The rank gave up on offload twins (repeated registration failure)
     /// and degraded to direct-from-Phi rendezvous sends.
     OffloadDegraded { rank: Rank },
-    /// A metrics span opened: an asynchronous protocol stage of message
-    /// `id` began in `phase`. Must be closed exactly once.
-    SpanOpen { rank: Rank, id: u64, phase: Phase },
-    /// The matching span close.
-    SpanClose { rank: Rank, id: u64, phase: Phase },
     /// `rank` was fail-stop killed (injection or chaos schedule). From
     /// this point the auditor forgives end-of-stream obligations that
-    /// involve the dead rank: its unreleased pins, open spans and syncs,
-    /// and handshakes with it as an endpoint can never complete.
+    /// involve the dead rank: its unreleased pins, unresolved messages
+    /// and syncs, and handshakes with it as an endpoint can never
+    /// complete.
     RankKilled { rank: Rank },
     /// `rank` observed `peer`'s death (health-board epoch advance) and
     /// reclaimed every resource tied to the pair.
@@ -425,8 +418,6 @@ pub struct AuditReport {
     pub ctrl_replays: u64,
     /// Ranks that degraded to direct-from-Phi rendezvous sends.
     pub offload_degraded: u64,
-    /// Metrics spans opened and closed (paired exactly).
-    pub spans_closed: u64,
     /// Ranks fail-stop killed within the stream.
     pub ranks_killed: u64,
     /// Peer-death observations (rank, peer) — each survivor that reaped
@@ -475,8 +466,8 @@ pub fn audit(events: &[TraceEvent]) -> Result<AuditReport, Vec<String>> {
     let mut allowed_dups: HashMap<(Rank, Rank, PacketKind, u64), u64> = HashMap::new();
     // Invariant 5: per-(node, epoch) daemon crash/respawn pairing.
     let mut crash_respawn: HashMap<(usize, u32), (u64, u64)> = HashMap::new();
-    // Invariant 6: per-(rank, id) open metrics spans.
-    let mut open_spans: HashMap<(Rank, u64), Phase> = HashMap::new();
+    // Invariant 6: sender-side terminals per posted message (src, dst, seq).
+    let mut terminals: HashMap<(Rank, Rank, u64), u32> = HashMap::new();
     // Fail-stop killed ranks: end-of-stream obligations touching a dead
     // rank are forgiven (the rank can never answer or release anything).
     let mut killed: HashSet<Rank> = HashSet::new();
@@ -561,7 +552,6 @@ pub fn audit(events: &[TraceEvent]) -> Result<AuditReport, Vec<String>> {
                     PacketKind::Credit => {}
                 }
             }
-            TraceEvent::PacketRx { .. } => {}
             TraceEvent::MrRegister { rank, key, .. } => {
                 report.mr_registered += 1;
                 let st = mrs.entry((rank, key)).or_default();
@@ -696,14 +686,6 @@ pub fn audit(events: &[TraceEvent]) -> Result<AuditReport, Vec<String>> {
             TraceEvent::OffloadDegraded { .. } => {
                 report.offload_degraded += 1;
             }
-            TraceEvent::SpanOpen { rank, id, phase } => {
-                if let Some(prev) = open_spans.insert((rank, id), phase) {
-                    errs.push(format!(
-                        "[{i}] rank{rank} span {phase} msg {id}: opened while {prev} span \
-                         still open (span leak)"
-                    ));
-                }
-            }
             TraceEvent::RankKilled { rank } => {
                 report.ranks_killed += 1;
                 killed.insert(rank);
@@ -720,27 +702,30 @@ pub fn audit(events: &[TraceEvent]) -> Result<AuditReport, Vec<String>> {
             TraceEvent::ShrinkCommit { .. } => {
                 report.shrink_commits += 1;
             }
-            // Lifecycle events are pure annotations for the post-run
-            // stitcher: they duplicate facts the protocol events above
-            // already assert (sequence order, pairing), so the auditor
-            // only counts them.
-            TraceEvent::MsgLife { .. } => {
+            // Lifecycle events duplicate facts the protocol events above
+            // already assert (sequence order, pairing); the auditor only
+            // checks that each posted message resolves once at its sender.
+            TraceEvent::MsgLife {
+                at,
+                src,
+                dst,
+                seq,
+                stage,
+                ..
+            } => {
                 report.lifecycle_events += 1;
-            }
-            TraceEvent::SpanClose { rank, id, phase } => match open_spans.remove(&(rank, id)) {
-                Some(open_phase) => {
-                    if open_phase != phase {
-                        errs.push(format!(
-                            "[{i}] rank{rank} msg {id}: {open_phase} span closed as {phase}"
-                        ));
+                match stage {
+                    MsgStage::Post => {
+                        terminals.insert((src, dst, seq), 0);
                     }
-                    report.spans_closed += 1;
+                    MsgStage::Complete | MsgStage::Failed if at == src => {
+                        if let Some(n) = terminals.get_mut(&(src, dst, seq)) {
+                            *n += 1;
+                        }
+                    }
+                    _ => {}
                 }
-                None => errs.push(format!(
-                    "[{i}] rank{rank} span {phase} msg {id}: closed without an open span \
-                         (dangling or double close)"
-                )),
-            },
+            }
         }
     }
 
@@ -789,13 +774,18 @@ pub fn audit(events: &[TraceEvent]) -> Result<AuditReport, Vec<String>> {
             ));
         }
     }
-    for ((rank, id), phase) in &open_spans {
-        if killed.contains(rank) {
-            continue; // the dead rank's engine was torn down mid-span
+    for ((src, dst, seq), n) in &terminals {
+        match n {
+            1 => {}
+            // The dead sender's engine was torn down mid-message.
+            0 if killed.contains(src) => {}
+            0 => errs.push(format!(
+                "msg {src}->{dst} seq {seq}: posted but never completed or failed at the sender"
+            )),
+            _ => errs.push(format!(
+                "msg {src}->{dst} seq {seq}: resolved {n} times at the sender"
+            )),
         }
-        errs.push(format!(
-            "rank{rank} span {phase} msg {id}: never closed before finalize"
-        ));
     }
 
     if errs.is_empty() {
@@ -1202,86 +1192,91 @@ mod tests {
         assert_eq!(r.offload_degraded, 1);
     }
 
+    /// A sender-side lifecycle event of message `0 -> 1 seq 5`.
+    fn sender_life(stage: MsgStage, t: u64) -> TraceEvent {
+        TraceEvent::MsgLife {
+            at: 0,
+            src: 0,
+            dst: 1,
+            seq: 5,
+            stage,
+            t,
+            len: 64,
+        }
+    }
+
     #[test]
-    fn spans_must_pair_exactly() {
-        use crate::metrics::Phase;
-        let open = TraceEvent::SpanOpen {
-            rank: 0,
-            id: 42,
-            phase: Phase::RtsWait,
-        };
-        let close = TraceEvent::SpanClose {
-            rank: 0,
-            id: 42,
-            phase: Phase::RtsWait,
-        };
-        let r = audit(&[open, close]).expect("paired span is clean");
-        assert_eq!(r.spans_closed, 1);
-
-        // Dangling: opened but never closed before finalize.
-        let errs = audit(&[open]).unwrap_err();
+    fn posted_message_without_terminal_fails_audit() {
+        let errs = audit(&[sender_life(MsgStage::Post, 10)]).unwrap_err();
         assert!(
             errs.iter()
-                .any(|e| e.contains("never closed") && e.contains("RtsWait") && e.contains("42")),
+                .any(|e| e.contains("0->1 seq 5") && e.contains("never completed or failed")),
             "{errs:?}"
         );
+        // A receiver-side terminal does not resolve the sender's request.
+        let recv_done = TraceEvent::MsgLife {
+            at: 1,
+            src: 0,
+            dst: 1,
+            seq: 5,
+            stage: MsgStage::Complete,
+            t: 20,
+            len: 64,
+        };
+        audit(&[sender_life(MsgStage::Post, 10), recv_done]).unwrap_err();
+    }
 
-        // Double close.
-        let errs = audit(&[open, close, close]).unwrap_err();
+    #[test]
+    fn message_resolved_twice_fails_audit() {
+        let errs = audit(&[
+            sender_life(MsgStage::Post, 10),
+            sender_life(MsgStage::Complete, 20),
+            sender_life(MsgStage::Failed, 30),
+        ])
+        .unwrap_err();
         assert!(
-            errs.iter()
-                .any(|e| e.contains("dangling or double close") && e.contains("42")),
+            errs.iter().any(|e| e.contains("resolved 2 times")),
             "{errs:?}"
         );
+    }
 
-        // Close without any open.
-        let errs = audit(&[close]).unwrap_err();
+    #[test]
+    fn failed_is_a_sender_terminal() {
+        let r = audit(&[
+            sender_life(MsgStage::Post, 10),
+            sender_life(MsgStage::Doorbell, 15),
+            sender_life(MsgStage::Failed, 20),
+        ])
+        .expect("a failed message is resolved");
+        assert_eq!(r.lifecycle_events, 3);
+    }
+
+    #[test]
+    fn open_message_from_killed_sender_passes() {
+        let r = audit(&[
+            sender_life(MsgStage::Post, 10),
+            TraceEvent::RankKilled { rank: 0 },
+        ])
+        .expect("a killed sender's open message is forgiven");
+        assert_eq!(r.ranks_killed, 1);
+        // The receiver's death forgives nothing: the live sender must
+        // still fail the request.
+        let errs = audit(&[
+            sender_life(MsgStage::Post, 10),
+            TraceEvent::RankKilled { rank: 1 },
+        ])
+        .unwrap_err();
         assert!(
-            errs.iter().any(|e| e.contains("dangling or double close")),
+            errs.iter().any(|e| e.contains("never completed")),
             "{errs:?}"
         );
-
-        // Re-open while still open (same message id).
-        let reopen = TraceEvent::SpanOpen {
-            rank: 0,
-            id: 42,
-            phase: Phase::RndvRead,
-        };
-        let errs = audit(&[open, reopen]).unwrap_err();
-        assert!(errs.iter().any(|e| e.contains("span leak")), "{errs:?}");
-
-        // Phase mismatch between open and close.
-        let wrong_close = TraceEvent::SpanClose {
-            rank: 0,
-            id: 42,
-            phase: Phase::RndvWrite,
-        };
-        let errs = audit(&[open, wrong_close]).unwrap_err();
-        assert!(
-            errs.iter().any(|e| e.contains("closed as RndvWrite")),
-            "{errs:?}"
-        );
-
-        // Same id on a different rank is a separate span.
-        let other_rank = TraceEvent::SpanOpen {
-            rank: 1,
-            id: 42,
-            phase: Phase::Eager,
-        };
-        let other_close = TraceEvent::SpanClose {
-            rank: 1,
-            id: 42,
-            phase: Phase::Eager,
-        };
-        let r = audit(&[open, other_rank, close, other_close]).expect("per-rank spans");
-        assert_eq!(r.spans_closed, 2);
     }
 
     #[test]
     fn lifecycle_events_are_counted_and_invariant_neutral() {
-        // MsgLife annotations must never trip protocol invariants: a
-        // stream of nothing but lifecycle events is clean, and mixing
-        // them into a handshake changes nothing but the count.
+        // MsgLife annotations must never trip the packet-level
+        // invariants: a resolved message's lifecycle alone is clean, and
+        // mixing it into a handshake changes nothing but the count.
         let life = |stage, t| TraceEvent::MsgLife {
             at: 0,
             src: 0,

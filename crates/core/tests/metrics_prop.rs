@@ -19,7 +19,7 @@ use dcfa_mpi::HistogramSnapshot;
 use proptest::prelude::*;
 
 /// Latencies spanning several log2 buckets, biased toward the small end
-/// the way real span durations are.
+/// the way real phase durations are.
 fn sample_strategy() -> impl Strategy<Value = u64> {
     prop_oneof![1u64..64, 64u64..4096, 4096u64..1_048_576,]
 }
