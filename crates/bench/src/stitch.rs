@@ -711,6 +711,7 @@ pub fn explain_msg(events: &[TraceEvent], src: usize, seq: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcfa_mpi::PacketKind;
 
     fn life(at: usize, src: usize, dst: usize, seq: u64, stage: MsgStage, t: u64) -> TraceEvent {
         TraceEvent::MsgLife {
@@ -728,7 +729,14 @@ mod tests {
         vec![
             life(src, src, dst, seq, MsgStage::Post, t0),
             life(src, src, dst, seq, MsgStage::Copy, t0 + 100),
-            life(src, src, dst, seq, MsgStage::Doorbell, t0 + 150),
+            life(
+                src,
+                src,
+                dst,
+                seq,
+                MsgStage::Doorbell(PacketKind::Eager),
+                t0 + 150,
+            ),
             life(dst, src, dst, seq, MsgStage::Wire, t0 + 1150),
             life(dst, src, dst, seq, MsgStage::Match, t0 + 1200),
             life(dst, src, dst, seq, MsgStage::Copy, t0 + 1300),
@@ -740,7 +748,7 @@ mod tests {
     #[test]
     fn edge_classification_rules() {
         use MsgStage::*;
-        assert_eq!(classify(Some(Doorbell), Wire), "wire");
+        assert_eq!(classify(Some(Doorbell(PacketKind::Eager)), Wire), "wire");
         assert_eq!(classify(Some(SrqStash), Wire), "stash_dwell");
         assert_eq!(classify(Some(UnexpStash), Match), "stash_dwell");
         assert_eq!(classify(Some(Wire), Match), "local");
@@ -839,7 +847,7 @@ mod tests {
         let evs = vec![
             // Eager 0 -> 1: post to the sender's complete.
             ev(0, 0, 1, 0, Post, 100, 256),
-            ev(0, 0, 1, 0, Doorbell, 300, 256),
+            ev(0, 0, 1, 0, Doorbell(PacketKind::Eager), 300, 256),
             ev(1, 0, 1, 0, Wire, 1200, 256),
             ev(1, 0, 1, 0, Complete, 1300, 256),
             ev(0, 0, 1, 0, Complete, 1500, 256),

@@ -43,7 +43,7 @@ use crate::packet::{
 };
 use crate::resources::Resources;
 use crate::slots::{SlotTable, TimerHeap};
-use crate::stats::{StatsCell, StatsReport};
+use crate::stats::StatsReport;
 use crate::trace::{MsgStage, Trace, TraceBuf, TraceEvent};
 use crate::types::{MpiError, Rank, Request, Src, Status, Tag, TagSel, TransportOp};
 
@@ -395,9 +395,6 @@ pub struct Engine {
     unexpected: Vec<Unexpected>,
     mpi_call: SimDuration,
     pub(crate) stats: CommStats,
-    /// Seqlock publication point for [`StatsReport`]s: observers on other
-    /// threads read the last published snapshot without tearing.
-    stats_cell: Arc<StatsCell>,
     trace: Trace,
     metrics: Metrics,
     /// Re-entrancy guard: progress() invoked from within progress() (via
@@ -569,7 +566,6 @@ impl Engine {
             unexpected: Vec::new(),
             mpi_call,
             stats,
-            stats_cell: Arc::new(StatsCell::new()),
             trace: Trace::default(),
             metrics: Metrics::default(),
             in_progress: false,
@@ -781,12 +777,6 @@ impl Engine {
             );
         }
         self.stats.conn_retries += 1;
-        let rank = self.rank;
-        self.trace.record(|| TraceEvent::ConnRetry {
-            rank,
-            peer,
-            attempt,
-        });
         self.arm_conn_timeout(ctx, peer, attempt + 1);
     }
 
@@ -1250,26 +1240,16 @@ impl Engine {
     }
 
     /// Consolidated counter snapshot: protocol counters plus both cache
-    /// pools' hit/miss/lifetime statistics. Also publishes the snapshot
-    /// into the rank's [`StatsCell`] for concurrent observers.
+    /// pools' hit/miss/lifetime statistics.
     pub fn dump(&self) -> StatsReport {
-        let report = StatsReport {
+        StatsReport {
             rank: self.rank,
             comm: self.stats,
             mr_cache: self.mr_cache.stats(),
             offload: self.offload_cache.stats(),
             mr_cached: self.mr_cache.cached_regions(),
             mr_pinned: self.mr_cache.pinned_regions(),
-        };
-        self.stats_cell.publish(report);
-        report
-    }
-
-    /// The rank's seqlock stats cell: share the handle with any thread to
-    /// read the last published [`StatsReport`] without tearing. See the
-    /// staleness contract on [`StatsCell`].
-    pub fn stats_cell(&self) -> Arc<StatsCell> {
-        self.stats_cell.clone()
+        }
     }
 
     /// Live handshake-replay entries (`served_done` + `served_dw`) across
@@ -1421,9 +1401,6 @@ impl Engine {
             }
             self.reaped_peers[d] = true;
             self.stats.peer_deaths_detected += 1;
-            let rank = self.rank;
-            self.trace
-                .record(|| TraceEvent::PeerReaped { rank, peer: d });
             self.reap_one(ctx, d);
         }
     }
@@ -1543,8 +1520,6 @@ impl Engine {
         let _dev = crate::hotpath::pause();
         self.revoked = true;
         self.stats.revokes_observed += 1;
-        let rank = self.rank;
-        self.trace.record(|| TraceEvent::RevokeObserved { rank });
         // The shrink-agreement band is exempt from the drain throughout:
         // `shrink` runs *on* the revoked communicator (ULFM semantics),
         // so a second revocation arriving mid-agreement must not eat the
@@ -1830,18 +1805,13 @@ impl Engine {
                         // Sync the latest bytes into the twin (blocking DMA).
                         let src = lease.phi.slice(off, buf.len);
                         let dst = lease.host_mr.buffer().slice(off, buf.len);
-                        let rank = self.rank;
                         let len = buf.len;
-                        self.trace
-                            .record(|| TraceEvent::OffloadSyncStart { rank, len });
                         let t0 = self.metrics.start(|| ctx.now());
                         let t = self.res.cluster().pci_dma(&src, &dst, ctx.now());
                         ctx.wait_reason(&t.completion, "offload sync");
                         self.metrics
                             .record_since(t0, || ctx.now(), Phase::OffloadSync, len, None);
                         self.stats.offload_syncs += 1;
-                        self.trace
-                            .record(|| TraceEvent::OffloadSyncEnd { rank, len });
                         return (host_addr, host_key, SendLease::Offload(lease));
                     }
                     None => {
@@ -1914,12 +1884,17 @@ impl Engine {
     }
 
     /// Lifecycle edge for an outbound packet hitting the wire: NACKs
-    /// record a `Nack` edge, everything else a `Doorbell`.
+    /// record a `Nack` edge, everything else a `Doorbell`. Both carry the
+    /// packet kind: this event is the trace's only record of the
+    /// transmit (CREDITs, which belong to no message, are recorded as
+    /// `CreditGrant`).
     fn msg_life_tx(&self, ctx: &Ctx, dst: Rank, hdr: &PacketHeader) {
         if let Some((src, mdst)) = self.msg_id(hdr.kind, dst, true) {
             let stage = match hdr.kind {
-                PacketKind::NackSend | PacketKind::Nack | PacketKind::NackWrite => MsgStage::Nack,
-                _ => MsgStage::Doorbell,
+                PacketKind::NackSend | PacketKind::Nack | PacketKind::NackWrite => {
+                    MsgStage::Nack(hdr.kind)
+                }
+                kind => MsgStage::Doorbell(kind),
             };
             self.msg_life(ctx, src, mdst, hdr.seq, stage, hdr.len);
         }
@@ -2194,24 +2169,7 @@ impl Engine {
             &tail_word(slot_seq).to_le_bytes(),
         );
 
-        if ctx.has_trace() {
-            ctx.trace(&format!(
-                "rank{} -> rank{dst}: {:?} seq={} len={} (slot {})",
-                self.rank,
-                hdr.kind,
-                hdr.seq,
-                hdr.len,
-                slot_seq % slots
-            ));
-        }
         let rank = self.rank;
-        self.trace.record(|| TraceEvent::PacketTx {
-            from: rank,
-            to: dst,
-            kind: hdr.kind,
-            seq: hdr.seq,
-            len: hdr.len,
-        });
         if hdr.kind == PacketKind::Credit {
             self.stats.credit_grants += 1;
             self.trace.record(|| TraceEvent::CreditGrant {
@@ -2280,13 +2238,6 @@ impl Engine {
             &tail_word(slot_seq).to_le_bytes(),
         );
         let rank = self.rank;
-        self.trace.record(|| TraceEvent::PacketTx {
-            from: rank,
-            to: dst,
-            kind: hdr.kind,
-            seq: hdr.seq,
-            len: hdr.len,
-        });
         if hdr.kind == PacketKind::Credit {
             self.stats.credit_grants += 1;
             self.trace.record(|| TraceEvent::CreditGrant {
@@ -2714,14 +2665,7 @@ impl Engine {
             return;
         }
         self.stats.wr_faults += 1;
-        let rank = self.rank;
-        let (peer, wr_id, transient) = (entry.dst, wc.wr_id, wc.status.is_transient());
-        self.trace.record(|| TraceEvent::WrFault {
-            rank,
-            peer,
-            wr_id,
-            transient,
-        });
+        let (peer, transient) = (entry.dst, wc.status.is_transient());
         if wc.status == WcStatus::WrFlushErr {
             // The QP toward this peer flushed: the peer is dead. Snoop it
             // onto the health board (faster than heartbeat staleness) and
@@ -2913,15 +2857,8 @@ impl Engine {
             let Some(entry) = self.inflight.get(wr_id) else {
                 continue;
             };
-            let (dst, mut wr, attempt, kind) = (entry.dst, entry.wr, entry.attempts, entry.kind);
+            let (dst, mut wr, kind) = (entry.dst, entry.wr, entry.kind);
             wr.wr_id = wr_id;
-            let rank = self.rank;
-            self.trace.record(|| TraceEvent::WrRetry {
-                rank,
-                peer: dst,
-                wr_id,
-                attempt,
-            });
             self.stats.wr_retries += 1;
             if let WrKind::Ring { hdr, .. } = kind {
                 if let Some((src, mdst)) = self.msg_id(hdr.kind, dst, true) {
@@ -2950,18 +2887,11 @@ impl Engine {
     /// through it would be futile.
     fn fail_wr(&mut self, ctx: &mut Ctx, entry: InflightWr, status: WcStatus, recover: bool) {
         self.stats.transport_failures += 1;
-        let rank = self.rank;
         let dst = entry.dst;
         let attempts = entry.attempts;
         match entry.kind {
             WrKind::Ring { hdr, slot_seq, req } => match hdr.kind {
                 PacketKind::Eager => {
-                    let seq = hdr.seq;
-                    self.trace.record(|| TraceEvent::TransportFail {
-                        rank,
-                        peer: dst,
-                        seq,
-                    });
                     if let Some(id) = req {
                         let err = MpiError::Transport {
                             status,
@@ -2982,12 +2912,6 @@ impl Engine {
                     }
                 }
                 PacketKind::Rts => {
-                    let seq = hdr.seq;
-                    self.trace.record(|| TraceEvent::TransportFail {
-                        rank,
-                        peer: dst,
-                        seq,
-                    });
                     // The owning send is discovered through (dst, seq):
                     // control packets carry no request id.
                     let owner = self.reqs.iter().find_map(|(id, st)| match st {
@@ -3022,12 +2946,6 @@ impl Engine {
                     }
                 }
                 PacketKind::Rtr => {
-                    let seq = hdr.seq;
-                    self.trace.record(|| TraceEvent::TransportFail {
-                        rank,
-                        peer: dst,
-                        seq,
-                    });
                     let idx = self.recv_q.iter().position(|r| {
                         r.rtr_sent
                             && r.seq == Some(hdr.seq)
@@ -3075,11 +2993,6 @@ impl Engine {
                 }) = self.fail_req(ctx, req, err)
                 {
                     self.mr_cache.release(ctx, &self.res, lease);
-                    self.trace.record(|| TraceEvent::TransportFail {
-                        rank,
-                        peer: src,
-                        seq,
-                    });
                     if recover {
                         let nack =
                             PacketHeader::control(PacketKind::Nack, self.rank, st.tag, seq, 0);
@@ -3105,8 +3018,6 @@ impl Engine {
                 }) = self.fail_req(ctx, req, err)
                 {
                     self.release_send_lease(ctx, lease);
-                    self.trace
-                        .record(|| TraceEvent::TransportFail { rank, peer: d, seq });
                     if recover {
                         let nack =
                             PacketHeader::control(PacketKind::NackWrite, self.rank, st.tag, seq, 0);
@@ -3243,23 +3154,12 @@ impl Engine {
     }
 
     fn handle_packet(&mut self, ctx: &mut Ctx, p: usize, hdr: PacketHeader, slot_base: u64) {
-        if ctx.has_trace() {
-            ctx.trace(&format!(
-                "rank{} <- rank{p}: {:?} seq={} len={}",
-                self.rank, hdr.kind, hdr.seq, hdr.len
-            ));
-        }
         let rank = self.rank;
         if let Some((src, dst)) = self.msg_id(hdr.kind, p, false) {
             self.msg_life(ctx, src, dst, hdr.seq, MsgStage::Wire, hdr.len);
         }
         match hdr.kind {
             PacketKind::Credit => {
-                self.trace.record(|| TraceEvent::CreditApply {
-                    at: rank,
-                    from: p,
-                    consumed: hdr.len,
-                });
                 let peer = self.peers[p].as_mut().expect("no peer");
                 peer.out_consumed = peer.out_consumed.max(hdr.len);
                 // Prune replayed-handshake answers the peer has resolved.
@@ -3429,11 +3329,6 @@ impl Engine {
                     }
                 } else {
                     self.stats.stale_rtrs_dropped += 1;
-                    self.trace.record(|| TraceEvent::StaleRtrDrop {
-                        rank,
-                        from: p,
-                        seq: hdr.seq,
-                    });
                 }
             }
             PacketKind::Done => {

@@ -67,7 +67,7 @@ pub use metrics::{HistogramSnapshot, MetricKey, Metrics, MetricsHub, Phase};
 pub use mrcache::CacheStats;
 pub use packet::PacketKind;
 pub use resources::Resources;
-pub use stats::{StatsCell, StatsReport};
+pub use stats::StatsReport;
 pub use trace::{audit, AuditReport, MsgStage, TraceBuf, TraceEvent};
 pub use types::{
     Datatype, MpiError, Rank, ReduceOp, Request, Src, Status, Tag, TagSel, TransportOp,

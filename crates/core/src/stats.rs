@@ -1,15 +1,8 @@
 //! Consolidated counter snapshots: one [`StatsReport`] per rank, built
 //! by `Engine::dump` / `Comm::dump`, printable as the `repro --stats`
 //! table.
-//!
-//! [`StatsCell`] is the concurrent publication point: the engine
-//! publishes whole reports into it (on `dump`, `quiesce` and
-//! `finalize`), and observers on other threads read them back via one
-//! pass of `Acquire` loads with seqlock validation — a read never tears
-//! across fields mid-update.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::engine::CommStats;
 use crate::mrcache::CacheStats;
@@ -107,191 +100,6 @@ impl fmt::Display for StatsReport {
     }
 }
 
-/// Number of `u64` words a [`StatsReport`] flattens into.
-const WORDS: usize = 43;
-
-impl StatsReport {
-    /// Flatten into a fixed word array. The order is part of the
-    /// [`StatsCell`] encoding, covered by `words_round_trip` below —
-    /// extend (never reorder) when adding counters.
-    fn to_words(self) -> [u64; WORDS] {
-        let c = self.comm;
-        let m = self.mr_cache;
-        let o = self.offload;
-        [
-            self.rank as u64,
-            self.mr_cached as u64,
-            self.mr_pinned as u64,
-            c.eager_sends,
-            c.rndv_sends,
-            c.rndv_recv_first,
-            c.offload_syncs,
-            c.bytes_sent,
-            c.bytes_received,
-            c.packets_processed,
-            c.stale_rtrs_dropped,
-            c.credit_grants,
-            c.wr_faults,
-            c.wr_retries,
-            c.transport_failures,
-            c.handshake_reissues,
-            c.ctrl_abandoned,
-            c.offload_fallbacks,
-            m.hits,
-            m.misses,
-            m.evictions,
-            m.registered,
-            m.deregistered,
-            m.invalidated,
-            o.hits,
-            o.misses,
-            o.evictions,
-            o.registered,
-            o.deregistered,
-            o.invalidated,
-            c.replay_pruned,
-            c.doorbells_coalesced,
-            c.pairs_established,
-            c.comm_buffer_bytes,
-            c.srq_highwater,
-            c.peer_deaths_detected,
-            c.peers_suspected,
-            c.revokes_observed,
-            c.dead_reclaimed,
-            c.reqs_revoked,
-            c.conn_retries,
-            c.agreement_restarts,
-            c.credit_parks,
-        ]
-    }
-
-    fn from_words(w: &[u64; WORDS]) -> StatsReport {
-        StatsReport {
-            rank: w[0] as Rank,
-            mr_cached: w[1] as usize,
-            mr_pinned: w[2] as usize,
-            comm: CommStats {
-                eager_sends: w[3],
-                rndv_sends: w[4],
-                rndv_recv_first: w[5],
-                offload_syncs: w[6],
-                bytes_sent: w[7],
-                bytes_received: w[8],
-                packets_processed: w[9],
-                stale_rtrs_dropped: w[10],
-                credit_grants: w[11],
-                wr_faults: w[12],
-                wr_retries: w[13],
-                transport_failures: w[14],
-                handshake_reissues: w[15],
-                ctrl_abandoned: w[16],
-                offload_fallbacks: w[17],
-                replay_pruned: w[30],
-                doorbells_coalesced: w[31],
-                pairs_established: w[32],
-                comm_buffer_bytes: w[33],
-                srq_highwater: w[34],
-                peer_deaths_detected: w[35],
-                peers_suspected: w[36],
-                revokes_observed: w[37],
-                dead_reclaimed: w[38],
-                reqs_revoked: w[39],
-                conn_retries: w[40],
-                agreement_restarts: w[41],
-                credit_parks: w[42],
-            },
-            mr_cache: CacheStats {
-                hits: w[18],
-                misses: w[19],
-                evictions: w[20],
-                registered: w[21],
-                deregistered: w[22],
-                invalidated: w[23],
-            },
-            offload: CacheStats {
-                hits: w[24],
-                misses: w[25],
-                evictions: w[26],
-                registered: w[27],
-                deregistered: w[28],
-                invalidated: w[29],
-            },
-        }
-    }
-}
-
-/// Seqlock-published [`StatsReport`]: the single writer (the rank's
-/// engine) stores whole reports; any thread reads them back without
-/// tearing.
-///
-/// # Staleness contract
-///
-/// A read returns the *last published* report — an internally consistent
-/// snapshot of all fields as of one `publish` call. It may lag the
-/// engine's live counters by everything that happened since that
-/// publish; it never mixes fields from two different publishes. Before
-/// the first publish, reads return `None`.
-#[derive(Debug)]
-pub struct StatsCell {
-    /// Seqlock version: odd while a write is in flight.
-    seq: AtomicU64,
-    words: [AtomicU64; WORDS],
-    /// 0 until the first publish.
-    published: AtomicU64,
-}
-
-impl Default for StatsCell {
-    fn default() -> Self {
-        StatsCell {
-            seq: AtomicU64::new(0),
-            words: std::array::from_fn(|_| AtomicU64::new(0)),
-            published: AtomicU64::new(0),
-        }
-    }
-}
-
-impl StatsCell {
-    pub fn new() -> StatsCell {
-        StatsCell::default()
-    }
-
-    /// Publish a report. Single-writer: callers must not race two
-    /// publishes on the same cell (each engine owns its cell).
-    pub fn publish(&self, report: StatsReport) {
-        // Odd seq marks the write window; Release orders it before the
-        // word stores for readers that Acquire-load an odd value.
-        self.seq.fetch_add(1, Ordering::Release);
-        for (slot, w) in self.words.iter().zip(report.to_words()) {
-            slot.store(w, Ordering::Release);
-        }
-        self.published.store(1, Ordering::Release);
-        self.seq.fetch_add(1, Ordering::Release);
-    }
-
-    /// Read the last published report via one pass of `Acquire` loads,
-    /// retrying while a publish is in flight. `None` before the first
-    /// publish.
-    pub fn read(&self) -> Option<StatsReport> {
-        loop {
-            let before = self.seq.load(Ordering::Acquire);
-            if before % 2 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            if self.published.load(Ordering::Acquire) == 0 {
-                return None;
-            }
-            let words: [u64; WORDS] =
-                std::array::from_fn(|i| self.words[i].load(Ordering::Acquire));
-            if self.seq.load(Ordering::Acquire) == before {
-                return Some(StatsReport::from_words(&words));
-            }
-            // A publish raced the pass; the words may mix two reports —
-            // discard and retry.
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,131 +127,5 @@ mod tests {
         assert!(s.contains("rank 3:"), "{s}");
         assert!(s.contains("send-first 3"), "{s}");
         assert!(s.contains("hits      6"), "{s}");
-    }
-
-    fn sample_report(n: u64) -> StatsReport {
-        StatsReport {
-            rank: 1,
-            comm: CommStats {
-                eager_sends: n,
-                bytes_sent: 2 * n,
-                packets_processed: 3 * n,
-                ..Default::default()
-            },
-            mr_cache: CacheStats {
-                hits: 4 * n,
-                ..Default::default()
-            },
-            offload: CacheStats {
-                misses: 5 * n,
-                ..Default::default()
-            },
-            mr_cached: 1,
-            mr_pinned: 0,
-        }
-    }
-
-    #[test]
-    fn words_round_trip() {
-        let r = StatsReport {
-            rank: 7,
-            comm: CommStats {
-                eager_sends: 1,
-                rndv_sends: 2,
-                rndv_recv_first: 3,
-                offload_syncs: 4,
-                bytes_sent: 5,
-                bytes_received: 6,
-                packets_processed: 7,
-                stale_rtrs_dropped: 8,
-                credit_grants: 9,
-                wr_faults: 10,
-                wr_retries: 11,
-                transport_failures: 12,
-                handshake_reissues: 13,
-                ctrl_abandoned: 14,
-                offload_fallbacks: 15,
-                replay_pruned: 30,
-                doorbells_coalesced: 31,
-                pairs_established: 32,
-                comm_buffer_bytes: 33,
-                srq_highwater: 34,
-                peer_deaths_detected: 35,
-                peers_suspected: 36,
-                revokes_observed: 37,
-                dead_reclaimed: 38,
-                reqs_revoked: 39,
-                conn_retries: 40,
-                agreement_restarts: 41,
-                credit_parks: 42,
-            },
-            mr_cache: CacheStats {
-                hits: 16,
-                misses: 17,
-                evictions: 18,
-                registered: 19,
-                deregistered: 20,
-                invalidated: 21,
-            },
-            offload: CacheStats {
-                hits: 22,
-                misses: 23,
-                evictions: 24,
-                registered: 25,
-                deregistered: 26,
-                invalidated: 27,
-            },
-            mr_cached: 28,
-            mr_pinned: 29,
-        };
-        assert_eq!(StatsReport::from_words(&r.to_words()), r);
-    }
-
-    #[test]
-    fn cell_empty_until_first_publish() {
-        let cell = StatsCell::new();
-        assert_eq!(cell.read(), None);
-        let r = sample_report(9);
-        cell.publish(r);
-        assert_eq!(cell.read(), Some(r));
-    }
-
-    #[test]
-    fn concurrent_reads_never_tear() {
-        use std::sync::Arc;
-
-        let cell = Arc::new(StatsCell::new());
-        cell.publish(sample_report(0));
-        let writer_cell = cell.clone();
-        let writer = std::thread::spawn(move || {
-            for n in 1..=2_000 {
-                writer_cell.publish(sample_report(n));
-            }
-        });
-        let readers: Vec<_> = (0..4)
-            .map(|_| {
-                let cell = cell.clone();
-                std::thread::spawn(move || {
-                    let mut last = 0;
-                    for _ in 0..5_000 {
-                        let r = cell.read().expect("published");
-                        let n = r.comm.eager_sends;
-                        // Every field pins to the same publish: a torn
-                        // read would break one of these ratios.
-                        assert_eq!(r.comm.bytes_sent, 2 * n);
-                        assert_eq!(r.comm.packets_processed, 3 * n);
-                        assert_eq!(r.mr_cache.hits, 4 * n);
-                        assert_eq!(r.offload.misses, 5 * n);
-                        // Publishes are observed in order.
-                        assert!(n >= last, "report went backwards");
-                        last = n;
-                    }
-                })
-            })
-            .collect();
-        writer.join().unwrap();
-        for r in readers {
-            r.join().unwrap();
-        }
     }
 }

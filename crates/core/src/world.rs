@@ -129,16 +129,6 @@ fn ctrl_trace_hook(buf: crate::trace::TraceBuf) -> dcfa::CtrlHook {
     use dcfa::CtrlEvent;
     Arc::new(move |ev: &CtrlEvent| {
         let tev = match *ev {
-            CtrlEvent::CmdTimeout { client, seq } => TraceEvent::CtrlTimeout { client, seq },
-            CtrlEvent::CmdRetry {
-                client,
-                seq,
-                attempt,
-            } => TraceEvent::CtrlRetry {
-                client,
-                seq,
-                attempt,
-            },
             CtrlEvent::Reattach {
                 client,
                 epoch,
@@ -158,23 +148,12 @@ fn ctrl_trace_hook(buf: crate::trace::TraceBuf) -> dcfa::CtrlHook {
                 node: node.0,
                 epoch,
             },
-            CtrlEvent::LeaseReclaim {
-                node,
-                client,
-                objects,
-            } => TraceEvent::LeaseReclaim {
-                node: node.0,
-                client,
-                objects,
-            },
-            CtrlEvent::ReplyReplayed { node, client, seq } => TraceEvent::CtrlReplay {
-                node: node.0,
-                client,
-                seq,
-            },
-            // The engine records rank-level degradation itself (it knows
-            // the rank; the daemon only knows the session id).
-            CtrlEvent::OffloadDegraded { .. } => return,
+            // Timeouts, retries, replays and lease reclaims are counted
+            // in `DcfaCounters`; no invariant reads them.
+            CtrlEvent::CmdTimeout { .. }
+            | CtrlEvent::CmdRetry { .. }
+            | CtrlEvent::LeaseReclaim { .. }
+            | CtrlEvent::ReplyReplayed { .. } => return,
         };
         buf.record(tev);
     })

@@ -136,9 +136,6 @@ pub enum CtrlEvent {
     },
     /// A retransmitted command was answered from the reply-dedup cache.
     ReplyReplayed { node: NodeId, client: u32, seq: u32 },
-    /// A client gave up on offload twins and degraded to direct-from-Phi
-    /// rendezvous sends.
-    OffloadDegraded { client: u32 },
 }
 
 /// Observer callback for [`CtrlEvent`]s.

@@ -101,9 +101,6 @@ struct ProcSlot {
     join: Option<JoinHandle<()>>,
 }
 
-/// Installed trace hook.
-type TraceHook = Box<dyn Fn(SimTime, &str) + Send>;
-
 pub(crate) struct EngineState {
     now: SimTime,
     next_seq: u64,
@@ -113,7 +110,6 @@ pub(crate) struct EngineState {
     live: usize,
     events_processed: u64,
     event_limit: u64,
-    trace: Option<TraceHook>,
 }
 
 impl EngineState {
@@ -140,12 +136,6 @@ impl EngineState {
     /// Pop the next event in `(time, seq)` order.
     fn pop_next(&mut self) -> Option<ScheduledEvent> {
         self.queue.pop().map(|Reverse(e)| e)
-    }
-
-    fn trace(&self, msg: &str) {
-        if let Some(t) = &self.trace {
-            t(self.now, msg);
-        }
     }
 }
 
@@ -185,16 +175,6 @@ impl Scheduler {
         let mut st = self.shared.state.lock();
         let t = st.now + d;
         st.schedule(t, EventKind::Call(Box::new(f)));
-    }
-
-    /// Emit a trace line through the installed trace hook, if any.
-    pub fn trace(&self, msg: &str) {
-        self.shared.state.lock().trace(msg);
-    }
-
-    /// Whether a trace hook is installed (lets hot paths skip formatting).
-    pub fn has_trace(&self) -> bool {
-        self.shared.state.lock().trace.is_some()
     }
 
     /// Spawn a new simulated process; it becomes runnable at the current
@@ -247,16 +227,6 @@ impl Ctx {
     /// A clonable scheduler handle for device models.
     pub fn scheduler(&self) -> Scheduler {
         self.scheduler.clone()
-    }
-
-    /// Emit a trace line (no-op unless a trace hook is installed).
-    pub fn trace(&self, msg: &str) {
-        self.scheduler.trace(msg);
-    }
-
-    /// Whether a trace hook is installed.
-    pub fn has_trace(&self) -> bool {
-        self.scheduler.has_trace()
     }
 
     /// Spawn a sibling process, runnable at the current virtual time.
@@ -606,16 +576,10 @@ impl Simulation {
                 live: 0,
                 events_processed: 0,
                 event_limit: u64::MAX,
-                trace: None,
             }),
             park_tx,
         });
         Simulation { shared, park_rx }
-    }
-
-    /// Install a trace hook invoked by [`Ctx::trace`] / [`Scheduler::trace`].
-    pub fn set_trace(&self, hook: impl Fn(SimTime, &str) + Send + 'static) {
-        self.shared.state.lock().trace = Some(Box::new(hook));
     }
 
     /// Cap the number of processed events (livelock guard for tests).

@@ -290,20 +290,6 @@ fn yield_now_lets_same_time_peers_run() {
     );
 }
 
-#[test]
-fn trace_hook_receives_messages() {
-    let lines: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut sim = Simulation::new();
-    let l2 = lines.clone();
-    sim.set_trace(move |t, msg| l2.lock().push(format!("{}:{msg}", t.as_nanos())));
-    sim.spawn("p", |ctx| {
-        ctx.sleep(SimDuration::from_nanos(9));
-        ctx.trace("hello");
-    });
-    sim.run_expect();
-    assert_eq!(lines.lock().clone(), vec!["9:hello".to_string()]);
-}
-
 /// Mixed wake + device-callback workload over 300 processes. Returns the
 /// full observable trace plus the processed-event count.
 fn mixed_trace() -> (Vec<(u64, usize, u32)>, u64) {

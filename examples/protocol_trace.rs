@@ -1,33 +1,34 @@
 //! Protocol trace: watch the eager and rendezvous state machines on the
 //! wire. Sends one small (Eager) and one large (sender-first Rendezvous)
-//! message and prints every ring packet with its virtual timestamp.
+//! message and prints, from the protocol event ring, every packet
+//! transmit and every arrival with its virtual timestamp.
+//!
+//! Transmits and arrivals are message-lifecycle events: the outbound
+//! `doorbell`/`nack` stages carry the packet kind, the receiver's `wire`
+//! stage marks the arrival. CREDIT packets belong to no message, so they
+//! have no lifecycle event and do not appear here. The example exits
+//! non-zero unless it saw the EAGER, RTS and DONE transmits in causal
+//! order.
 //!
 //! ```text
 //! cargo run --release --example protocol_trace
 //! ```
 
-use dcfa_mpi_repro::dcfa_mpi::{launch, Communicator, LaunchOpts, MpiConfig, Src, TagSel};
+use dcfa_mpi_repro::dcfa_mpi::{
+    launch, Communicator, LaunchOpts, MpiConfig, MsgStage, PacketKind, Src, TagSel, TraceBuf,
+    TraceEvent,
+};
 use dcfa_mpi_repro::fabric::{Cluster, ClusterConfig};
 use dcfa_mpi_repro::scif::ScifFabric;
 use dcfa_mpi_repro::simcore::Simulation;
 use dcfa_mpi_repro::verbs::IbFabric;
-use parking_lot::Mutex;
-use std::sync::Arc;
 
 fn main() {
     let mut sim = Simulation::new();
     let cluster = Cluster::new(sim.scheduler(), ClusterConfig::with_nodes(2));
     let ib = IbFabric::new(cluster.clone());
     let scif = ScifFabric::new(cluster);
-
-    let lines: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-    let l2 = lines.clone();
-    sim.set_trace(move |t, msg| {
-        // Only packet-level traffic is interesting here.
-        if msg.contains("seq=") {
-            l2.lock().push(format!("[{:>12}] {msg}", t.to_string()));
-        }
-    });
+    let tracer = TraceBuf::new(4096);
 
     launch(
         &sim,
@@ -35,7 +36,10 @@ fn main() {
         &scif,
         MpiConfig::dcfa(),
         2,
-        LaunchOpts::default(),
+        LaunchOpts {
+            tracer: Some(tracer.clone()),
+            ..LaunchOpts::default()
+        },
         move |ctx, comm| {
             let small = comm.alloc(256).unwrap();
             let large = comm.alloc(256 << 10).unwrap();
@@ -57,8 +61,41 @@ fn main() {
     );
     sim.run_expect();
 
-    println!("packet trace (virtual time | event):");
-    for l in lines.lock().iter() {
-        println!("{l}");
+    println!("packet trace (virtual ns | event):");
+    let mut transmits = Vec::new();
+    for ev in tracer.snapshot() {
+        let TraceEvent::MsgLife {
+            at,
+            src,
+            dst,
+            seq,
+            stage,
+            t,
+            len,
+        } = ev
+        else {
+            continue;
+        };
+        if let Some((from, to, kind, seq)) = ev.packet_tx() {
+            println!("[{t:>10}] rank{from} -> rank{to}: {kind:?} seq={seq} len={len}");
+            transmits.push(kind);
+        } else if stage == MsgStage::Wire {
+            let from = if at == dst { src } else { dst };
+            println!("[{t:>10}] rank{at} <- rank{from}: wire (message {src}->{dst} seq={seq})");
+        }
+    }
+
+    let mut want = [PacketKind::Eager, PacketKind::Rts, PacketKind::Done].into_iter();
+    let mut next = want.next();
+    for kind in transmits {
+        if Some(kind) == next {
+            next = want.next();
+        }
+    }
+    if let Some(missing) = next {
+        eprintln!(
+            "protocol_trace: no {missing:?} transmit in causal order after the ones before it"
+        );
+        std::process::exit(1);
     }
 }

@@ -170,9 +170,12 @@ fn eviction_waits_for_inflight_rendezvous() {
 /// same stream (the property that makes trace-based debugging viable).
 #[test]
 fn auditor_replays_4rank_mixed_run_deterministically() {
-    fn run() -> Vec<TraceEvent> {
+    /// The run's event stream and its ranks' summed offload syncs.
+    fn run() -> (Vec<TraceEvent>, u64) {
         let mut r = rig(4);
         let tracer = TraceBuf::new(1 << 16);
+        let syncs = Arc::new(Mutex::new(0u64));
+        let syncs2 = syncs.clone();
         launch(
             &r.sim,
             &r.ib,
@@ -212,14 +215,16 @@ fn auditor_replays_4rank_mixed_run_deterministically() {
                 } else {
                     comm.send(ctx, &stx, 0, 30).unwrap();
                 }
+                *syncs2.lock() += comm.stats().offload_syncs;
             },
         );
         r.sim.run_expect();
         assert_eq!(tracer.dropped(), 0, "ring must not overflow in this run");
-        tracer.snapshot()
+        let syncs = *syncs.lock();
+        (tracer.snapshot(), syncs)
     }
 
-    let events = run();
+    let (events, offload_syncs) = run();
     let report = audit(&events).expect("auditor found invariant violations");
     assert!(report.data_packets > 0);
     assert!(
@@ -227,12 +232,12 @@ fn auditor_replays_4rank_mixed_run_deterministically() {
         "run must exercise sender-first rendezvous"
     );
     assert!(
-        report.offload_syncs > 0,
+        offload_syncs > 0,
         "64 KiB sends must stage through the offload buffer"
     );
     assert_eq!(report.mr_leaked, 0);
 
-    let replay = run();
+    let (replay, _) = run();
     assert_eq!(
         events, replay,
         "identical simulations must produce identical traces"
@@ -268,4 +273,44 @@ fn offload_twin_containment_reuses_host_buffer() {
         },
     );
     r.sim.run_expect();
+}
+
+/// Ring credit flow under the auditor: a one-way eager stream several
+/// times longer than the ring makes the receiver grant credits back, and
+/// no grant may report more slots than the sender transmitted (invariant
+/// 3). CREDITs belong to no message, so their `CreditGrant` events are
+/// the window check's only record of them.
+#[test]
+fn credit_grants_stay_within_the_sent_window() {
+    let mut r = rig(2);
+    let tracer = TraceBuf::new(1 << 14);
+    let cfg = MpiConfig {
+        ring_slots: 8,
+        ..MpiConfig::dcfa()
+    };
+    launch(
+        &r.sim,
+        &r.ib,
+        &r.scif,
+        cfg,
+        2,
+        traced_opts(&tracer),
+        move |ctx, comm| {
+            let buf = comm.alloc(64).unwrap();
+            for _ in 0..40 {
+                if comm.rank() == 0 {
+                    comm.send(ctx, &buf, 1, 1).unwrap();
+                } else {
+                    comm.recv(ctx, &buf, Src::Rank(0), TagSel::Tag(1)).unwrap();
+                }
+            }
+        },
+    );
+    r.sim.run_expect();
+    let report = audit(&tracer.snapshot()).expect("auditor found invariant violations");
+    assert_eq!(report.data_packets, 40);
+    assert!(
+        report.credit_grants > 0,
+        "a stream longer than the ring must return credits"
+    );
 }
